@@ -42,10 +42,6 @@ cells it would resolve -- executions, cache hits, memo hits -- and the
 warm-up prefixes it would simulate, then exits without running any
 simulation (cells that would execute resolve to placeholders).
 
-``--scheduler {auto,heap,calendar}`` selects the engine's event-scheduler
-backend for the invocation (sets ``REPRO_SCHEDULER``); dispatch is
-bit-identical across backends, so this is purely a performance knob.
-
 ``--profile`` wraps each experiment in :func:`repro.sim.profile.profile_run`
 and prints wall time, simulator events/sec, and the hottest functions
 after the rendering.  Profile the default serial mode (``--jobs 1``,
@@ -275,15 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --fast, skip the fluid-model pre-pass (sets "
              "REPRO_NO_FLUID=1): the planner explores the full "
              "packet-level coarse grid instead",
-    )
-    parser.add_argument(
-        "--scheduler", choices=["auto", "heap", "calendar"], default=None,
-        help="event-scheduler backend for every simulator built during "
-             "the invocation (sets REPRO_SCHEDULER): 'heap' is the "
-             "binary-heap baseline, 'calendar' the calendar queue for "
-             "very deep pending sets, 'auto' (engine default) starts on "
-             "the heap and migrates past the measured crossover; "
-             "results are bit-identical across backends",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -753,8 +740,6 @@ def main(argv=None) -> int:
         os.environ["REPRO_FAST"] = "1"
     if args.no_fluid:
         os.environ["REPRO_NO_FLUID"] = "1"
-    if args.scheduler is not None:
-        os.environ["REPRO_SCHEDULER"] = args.scheduler
     if args.record and args.store is None:
         print("--record requires --store (it records into the store)",
               file=sys.stderr)

@@ -90,9 +90,9 @@ class PulseAttackSource:
         self.node.send(packet)
         next_at = now + gap
         if next_at < end:
-            # Direct backend push (next_at > now by construction).  The
+            # Direct calendar push (next_at > now by construction).  The
             # chain is never cancelled, so a transient entry -- no
-            # Event handle, recycled after firing -- is enough.
+            # Event handle -- is enough.
             sim._push_transient(next_at, self._emit, (index, end, gap))
 
 
@@ -145,6 +145,6 @@ class CBRSource:
         self.packets_emitted += 1
         self.bytes_emitted += size
         self.node.send(packet)
-        # Direct backend push; the chain is never cancelled, so the
-        # transient entry is recycled after firing.
+        # Direct calendar push; the chain is never cancelled, so a
+        # transient entry is enough.
         sim._push_transient(now + self._gap, self._emit, ())

@@ -11,18 +11,15 @@ bit-identical copy for each cell.
 Mechanism
 ---------
 A built network is a closed object graph: the :class:`~repro.sim.engine.
-Simulator` (clock, scheduler backend -- binary heap or calendar queue,
-with its entries, freelist, and seq counter), every link's departure
-queue and queue discipline (including RED averages and RNG), every TCP
-agent (windows, timers, scoreboards, per-flow RNGs), and the scenario
-RNG.  ``copy.deepcopy`` clones the whole graph in one traversal; its
-memo dictionary preserves internal aliasing, so a calendar entry whose
-callback is a bound method of a link lands on the *copied* link, and an
+Simulator` (clock, binary-heap calendar with its entries, and seq
+counter), every link's departure queue and queue discipline (including
+RED averages and RNG), every TCP agent (windows, timers, scoreboards,
+per-flow RNGs), and the scenario RNG.  ``copy.deepcopy`` clones the
+whole graph in one traversal; its memo dictionary preserves internal
+aliasing, so a calendar entry whose callback is a bound method of a
+link lands on the *copied* link, and an
 :class:`~repro.sim.engine.Event` handle held by a TCP agent aliases the
-entry inside the copied backend (whichever backend structure holds it).
-Both scheduler backends are plain slotted containers, so forks work --
-and stay bit-identical -- under either; the warm-start tests pin the
-round-trip per backend.  Two details need explicit care:
+entry inside the copied calendar.  Two details need explicit care:
 
 * the packet uid counter is a class-level global on
   :class:`~repro.sim.packet.Packet` (so uids are unique across helper

@@ -7,21 +7,14 @@ holds a routing table mapping destination node id to the outgoing
 ``dst`` equals the node id is delivered to the agent registered for its
 flow.
 
-Two forwarding planes share the same routing state:
-
-* the **dict plane** (the historical path): each hop probes
-  ``_routes[dst]`` then ``_links[next_hop]``;
-* the **compiled plane** (default): routes are compiled into a dense
-  list ``_next_send`` indexed by destination node id whose entries are
-  the *bound* ``Link.send`` of the outgoing interface, so a hop is one
-  indexed load and one call.  Hosts with a single outgoing interface
-  use an O(1) *default route* instead of a dense table (a 10k-host
-  scenario must not hold 10k tables of 20k entries each).
-
-Both planes make identical forwarding decisions and maintain identical
-statistics, so simulations are bit-identical across them.  Selection:
-``REPRO_FORWARDING=compiled|dict`` (or an explicit ``compiled=``
-argument / scenario-config field); see :mod:`repro.sim.routing`.
+Routes are compiled into a dense list ``_next_send`` indexed by
+destination node id whose entries are the *bound* ``Link.send`` of the
+outgoing interface, so a hop is one indexed load and one call.  Hosts
+with a single outgoing interface use an O(1) *default route* instead of
+a dense table (a 10k-host scenario must not hold 10k tables of 20k
+entries each).  Most hops bypass :meth:`Node.receive` entirely: the
+upstream link resolves the delivery callable at send time (see
+:meth:`repro.sim.link.Link.send` and :mod:`repro.sim.routing`).
 """
 
 from __future__ import annotations
@@ -29,29 +22,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, TYPE_CHECKING
 
 from repro.sim.packet import Packet
-from repro.util.env import env_choice
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.link import Link
 
-__all__ = ["Node", "forwarding_default", "FORWARDING_MODES"]
-
-#: Recognized forwarding-plane names.
-FORWARDING_MODES = ("compiled", "dict")
-
-
-def forwarding_default() -> str:
-    """The process-default forwarding plane.
-
-    ``REPRO_FORWARDING=compiled|dict`` overrides; unset selects the
-    compiled plane.  Both planes are bit-identical, so the choice is a
-    pure performance knob (the dict plane exists as the A/B baseline
-    for the forwarding benchmark).
-    """
-    return env_choice("REPRO_FORWARDING", FORWARDING_MODES,
-                      default="compiled")
+__all__ = ["Node"]
 
 
 class Node:
@@ -63,12 +40,12 @@ class Node:
 
     __slots__ = (
         "sim", "node_id", "name", "_links", "_routes", "_agents",
-        "undeliverable", "_compiled", "_next_send", "_default_hop",
+        "undeliverable", "_next_send", "_default_hop",
         "_default_send",
     )
 
-    def __init__(self, sim: "Simulator", node_id: int, name: str = "",
-                 *, compiled: Optional[bool] = None) -> None:
+    def __init__(self, sim: "Simulator", node_id: int,
+                 name: str = "") -> None:
         self.sim = sim
         self.node_id = node_id
         self.name = name or f"n{node_id}"
@@ -80,11 +57,6 @@ class Node:
         self._agents: Dict[int, Callable[[Packet], None]] = {}
         #: packets that arrived with no registered agent or route.
         self.undeliverable = 0
-        #: compiled forwarding plane active for this node.
-        self._compiled = (
-            forwarding_default() == "compiled" if compiled is None
-            else bool(compiled)
-        )
         #: dense dst-id-indexed table of bound ``Link.send`` callables
         #: (``None`` entries mean "no specific route").  Mirrors
         #: ``_routes``; maintained by :meth:`add_route`/:meth:`attach_link`.
@@ -136,7 +108,7 @@ class Node:
         self._default_send = link.send
 
     def _table_set(self, dst_id: int, link: "Link") -> None:
-        """Mirror one route into the dense compiled table."""
+        """Mirror one route into the dense forwarding table."""
         table = self._next_send
         if dst_id >= len(table):
             table.extend([None] * (dst_id + 1 - len(table)))
@@ -146,10 +118,10 @@ class Node:
         """Deliver locally terminated packets of *flow_id* to *deliver*.
 
         Agents must be registered before traffic toward them is in
-        flight: the compiled plane resolves the agent when the packet
-        enters its final link, not at delivery time.  Every scenario
-        builder registers agents at flow-creation time, before the
-        flow's first transmission, so both planes see the same agent.
+        flight: the agent is resolved when the packet enters its final
+        link, not at delivery time.  Every scenario builder registers
+        agents at flow-creation time, before the flow's first
+        transmission.
         """
         if flow_id in self._agents:
             raise ConfigurationError(
@@ -189,10 +161,11 @@ class Node:
         """The outgoing link toward *dst_id*, or ``None`` if unroutable.
 
         The one shared route-lookup implementation: :meth:`forward` and
-        :meth:`send` delegate here, :meth:`receive` (and the compiled
-        plane's resolve-at-send path in :meth:`Link.send
+        :meth:`send` delegate here, :meth:`receive` (and the
+        resolve-at-send path in :meth:`Link.send
         <repro.sim.link.Link.send>`) inline exactly this decision
-        procedure -- specific route first, default route as fallback.
+        procedure on the dense table -- specific route first, default
+        route as fallback.
         """
         next_hop = self._routes.get(dst_id)
         if next_hop is None:
@@ -202,17 +175,17 @@ class Node:
         return self._links[next_hop]
 
     def _drop_undeliverable(self, _packet: Packet) -> None:
-        """Terminal for unroutable/agent-less packets (either plane)."""
+        """Terminal for unroutable/agent-less packets."""
         self.undeliverable += 1
 
     def receive(self, packet: Packet) -> None:
         """Entry point for packets arriving from a link (or locally injected).
 
         Hops through buffer-tracking links (and direct calls) dispatch
-        through here, so the lookup is inlined rather than delegated to
-        :meth:`_outbound`; on the compiled plane most hops bypass this
-        frame entirely (the upstream link resolved the delivery
-        callable at send time).
+        through here, so the table lookup is inlined rather than
+        delegated to :meth:`_outbound`; most hops bypass this frame
+        entirely (the upstream link resolved the delivery callable at
+        send time).
         """
         dst = packet.dst
         if dst == self.node_id:
@@ -222,23 +195,14 @@ class Node:
                 return
             agent(packet)
             return
-        if self._compiled:
-            table = self._next_send
-            send = table[dst] if dst < len(table) else None
+        table = self._next_send
+        send = table[dst] if dst < len(table) else None
+        if send is None:
+            send = self._default_send
             if send is None:
-                send = self._default_send
-                if send is None:
-                    self.undeliverable += 1
-                    return
-            send(packet)
-            return
-        next_hop = self._routes.get(dst)
-        if next_hop is None:
-            next_hop = self._default_hop
-            if next_hop is None:
                 self.undeliverable += 1
                 return
-        self._links[next_hop].send(packet)
+        send(packet)
 
     def forward(self, packet: Packet) -> None:
         """Send *packet* toward its destination via the routing table.

@@ -23,7 +23,7 @@ AIMD buffer-sizing rule (:func:`repro.sim.routing.aimd_buffer_bytes`),
 and the pulse attacker's path may span one or several bottleneck
 links.  Both scenarios are expressed on
 :class:`~repro.sim.routing.GraphTopology`, which compiles static
-shortest-path routes into the forwarding plane.
+shortest-path routes into per-node forwarding tables.
 """
 
 from __future__ import annotations
@@ -167,16 +167,6 @@ class DumbbellConfig:
     tcp: TCPConfig = dataclasses.field(default_factory=TCPConfig)
     attacker_access_rate_bps: float = mbps(1000)
     seed: int = 1
-    #: scheduler backend for the engine ("heap"/"calendar"/"auto");
-    #: ``None`` defers to ``REPRO_SCHEDULER`` / the engine default.
-    #: ``compare=False``: backends dispatch bit-identically, so the
-    #: choice must not split the runner's result-cache keys.
-    scheduler: Optional[str] = dataclasses.field(default=None, compare=False)
-    #: forwarding plane ("compiled"/"dict"); ``None`` defers to
-    #: ``REPRO_FORWARDING`` / the compiled default.  ``compare=False``
-    #: for the same reason as ``scheduler``: the planes are
-    #: bit-identical, so the choice must not split cache keys.
-    forwarding: Optional[str] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_flows < 1:
@@ -203,13 +193,13 @@ class DumbbellNetwork:
 
     def __init__(self, config: DumbbellConfig) -> None:
         self.config = config
-        self.sim = Simulator(scheduler=config.scheduler)
+        self.sim = Simulator()
         self.rng = random.Random(config.seed)
         # Fresh uid stream per scenario: identical reruns trace identically.
         Packet.reset_uids()
 
         m = config.n_flows
-        self.topo = GraphTopology(self.sim, forwarding=config.forwarding)
+        self.topo = GraphTopology(self.sim)
         self.router_s = self.topo.add_node("routerS")
         self.router_r = self.topo.add_node("routerR")
         self.sender_nodes = [
@@ -542,8 +532,6 @@ class ParkingLotConfig:
     tcp: TCPConfig = dataclasses.field(default_factory=TCPConfig)
     attacker_access_rate_bps: float = mbps(1000)
     seed: int = 1
-    scheduler: Optional[str] = dataclasses.field(default=None, compare=False)
-    forwarding: Optional[str] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_segments < 1:
@@ -634,14 +622,14 @@ class ParkingLotNetwork:
 
     def __init__(self, config: ParkingLotConfig) -> None:
         self.config = config
-        self.sim = Simulator(scheduler=config.scheduler)
+        self.sim = Simulator()
         self.rng = random.Random(config.seed)
         #: vectorized start-jitter stream (distinct from the RED rng).
         self.np_rng = np.random.default_rng((config.seed, 1))
         Packet.reset_uids()
 
         self.long_rtts, self.cross_rtts = config.draw_rtts()
-        self.topo = GraphTopology(self.sim, forwarding=config.forwarding)
+        self.topo = GraphTopology(self.sim)
         self._build_nodes()
         self._build_links()
         self.topo.compile_routes()

