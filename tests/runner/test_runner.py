@@ -1,6 +1,10 @@
 """The executor: determinism, dedup, caching, parallel fan-out, stats."""
 
+import os
+import signal
+import socket
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -29,6 +33,38 @@ def make_cell(seed=11, gamma=0.5, window=2.0):
     )
 
 
+def make_train(gamma):
+    return PulseTrain.from_gamma(
+        gamma=gamma, rate_bps=mbps(30), extent=ms(100),
+        bottleneck_bps=mbps(15), n_pulses=3,
+    )
+
+
+def sweep_cells(*, seed=11, n_flows=2, warmup=1.0, window=2.0,
+                gammas=(0.3, 0.6)):
+    platform = PlatformSpec(kind="dumbbell", n_flows=n_flows, seed=seed)
+    baseline = Cell(platform=platform, warmup=warmup, window=window)
+    return [baseline] + [
+        Cell(platform=platform, warmup=warmup, window=window,
+             train=make_train(g))
+        for g in gammas
+    ]
+
+
+def two_group_cells():
+    """Six cells across two warm-start prefixes (seeds 11 and 12)."""
+    return sweep_cells(seed=11) + sweep_cells(seed=12)
+
+
+def _kill_own_worker(cells, record=False):
+    """Stand-in for ``_execute_unit`` that dies like an OOM-killed worker.
+
+    Module-level so the pool can pickle it by reference; forked workers
+    resolve it from the inherited test module.
+    """
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestValidation:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValidationError, match="jobs"):
@@ -53,6 +89,39 @@ class TestDeterminism:
             for batch in (serial, parallel, first, replayed)
         ]
         assert goodputs[0] == goodputs[1] == goodputs[2] == goodputs[3]
+
+
+class TestWorkerCrash:
+    def test_dead_worker_does_not_poison_the_next_batch(self, monkeypatch):
+        cells = two_group_cells()
+        expected = ExperimentRunner(jobs=1).measure_many(cells)
+        with ExperimentRunner(jobs=2) as runner:
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.runner.runner._execute_unit",
+                              _kill_own_worker)
+                with pytest.raises(BrokenProcessPool):
+                    runner.measure_many(cells)
+            assert runner.measure_many(cells) == expected
+
+
+class TestWorkerAttribution:
+    def test_pool_cells_name_their_child_worker(self, tmp_path):
+        from repro.obs.store import ExperimentStore
+
+        with ExperimentStore(tmp_path / "store.sqlite") as store:
+            store.begin_run("test", argv=[], git_sha="abc1234")
+            store.begin_experiment("pool")
+            with ExperimentRunner(jobs=2) as runner:
+                runner.attach_store(store)
+                runner.measure_many(two_group_cells())
+            _, rows = store.query(
+                "SELECT worker FROM cells WHERE source = 'executed'")
+        assert len(rows) == 6
+        parent = f"{socket.gethostname()}:{os.getpid()}"
+        for (worker,) in rows:
+            host, pid = worker.rsplit(":", 1)
+            assert host == socket.gethostname()
+            assert int(pid) > 0 and worker != parent
 
 
 class TestDedupAndMemo:
@@ -168,3 +237,58 @@ class TestSweepIntegration:
         assert [p.measured_degradation for p in serial.points] == [
             p.measured_degradation for p in parallel.points
         ]
+
+
+class TestDryRun:
+    def test_plans_instead_of_executing(self):
+        cells = sweep_cells()
+        with ExperimentRunner(dry_run=True) as runner:
+            results = runner.measure_many(cells)
+            assert len(results) == len(cells)
+            # Placeholders, not measurements: rate exactly 1.0 and no
+            # execution recorded anywhere.
+            assert all(r.goodput_bytes == cells[0].window for r in results)
+            assert runner.stats.executed == 0
+            assert runner.stats.cache_hits == 0
+            plan = runner.dry_run_plan
+            assert [e.status for e in plan.entries] == ["execute"] * 3
+            assert plan.batches == 1
+
+    def test_second_batch_hits_dry_memo(self):
+        cells = sweep_cells()
+        with ExperimentRunner(dry_run=True) as runner:
+            first = runner.measure_many(cells)
+            second = runner.measure_many(cells)
+            assert second == first
+            statuses = [e.status for e in runner.dry_run_plan.entries]
+            assert statuses == ["execute"] * 3 + ["memo"] * 3
+
+    def test_duplicates_counted_once(self):
+        cell = sweep_cells()[0]
+        with ExperimentRunner(dry_run=True) as runner:
+            runner.measure_many([cell, cell, cell])
+            assert len(runner.dry_run_plan.entries) == 1
+            assert runner.dry_run_plan.duplicates == 2
+
+    def test_cache_hits_resolve_real_results(self, tmp_path):
+        cells = sweep_cells()
+        with ExperimentRunner(cache_dir=tmp_path) as real:
+            executed = real.measure_many(cells)
+        with ExperimentRunner(cache_dir=tmp_path, dry_run=True) as dry:
+            planned = dry.measure_many(cells)
+            assert planned == executed  # real cached values, not stand-ins
+            statuses = [e.status for e in dry.dry_run_plan.entries]
+            assert statuses == ["cache"] * 3
+
+    def test_render_summarizes_prefix_groups(self):
+        cells = two_group_cells()
+        with ExperimentRunner(dry_run=True) as runner:
+            runner.measure_many(cells)
+            text = runner.dry_run_plan.render()
+        assert "6 cells planned -- 6 to execute" in text
+        assert "warm-up prefixes to simulate: 2" in text
+        assert "kind=dumbbell" in text and "seed=11" in text
+
+    def test_empty_plan_renders(self):
+        assert ExperimentRunner(dry_run=True).dry_run_plan.render() \
+            == "dry run: no cells planned"

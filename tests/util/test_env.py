@@ -125,13 +125,13 @@ class TestConsumersRouteThroughHelpers:
         ):
             get_default_runner()
 
-    def test_repro_fabric_rejects_negative(self, monkeypatch):
+    def test_repro_jobs_rejects_zero(self, monkeypatch):
         from repro.runner import get_default_runner, set_default_runner
 
         set_default_runner(None)
-        monkeypatch.setenv("REPRO_FABRIC", "-2")
+        monkeypatch.setenv("REPRO_JOBS", "0")
         with pytest.raises(ValidationError,
-                           match=r"REPRO_FABRIC must be >= 0"):
+                           match=r"REPRO_JOBS must be >= 1"):
             get_default_runner()
 
     def test_repro_full_garbage_rejected(self, monkeypatch):
