@@ -39,50 +39,73 @@ ideally ``--no-cache``): cells executed by worker processes or answered
 from the cache dispatch no simulator events in this process.
 
 Observability: diagnostics go through the ``repro`` logger (``-v`` for
-per-cell debug lines, ``-q`` for renderings only), and
-``repro <experiment> --metrics [PATH]`` additionally enables the metrics
-registry and appends one JSON-lines record per experiment -- engine,
-link, TCP, and runner telemetry plus timings and the git SHA -- to
-*PATH* (default ``runlog.jsonl``).  ``repro obs report LOG [LOG...]``
-renders a summary table from such logs (or from stores; ``--sort``/
-``--last`` order and trim the rows).  Note: cells answered from the
-cache or executed in worker processes contribute runner metrics but no
-in-process engine/link/TCP metrics; run with ``--no-cache`` serially
-for a full simulation snapshot.
-
-``--store [PATH]`` additionally dual-writes an sqlite experiment store
-(default ``runlog.sqlite``): runs, experiments, per-cell rows keyed by
-the result cache's content-hash key, and scalar metrics --
-queryable afterwards with ``repro obs query`` (raw SQL or the canned
+per-cell debug lines, ``-q`` for renderings only).  ``--store [PATH]``
+records the run in an sqlite experiment store (default
+``runlog.sqlite``): it enables the metrics registry per experiment and
+writes runs (git SHA, argv), experiments (timings, runner accounting,
+engine/link/TCP metrics), and per-cell rows keyed by the result cache's
+content-hash key.  ``repro obs report STORE [STORE...]`` renders a
+summary table from stores (``--sort``/``--last`` order and trim the
+rows); ``repro obs query`` runs raw SQL or the canned
 ``gamma-star``/``slowest-cells``/``workers``/``cache-hits``/
-``drop-sync`` queries).  ``--record`` also attaches the in-sim flight recorder
-(:mod:`repro.obs.recorder`) to every executed packet cell and stores
-its time series -- arrival rates, drops, queue depth, cwnd, recovery
-events -- for ``repro obs trace <cell> --export csv|npz``.  Both are
-passive: results stay bit-identical.
+``drop-sync`` queries.  Note: cells answered from the cache or executed
+in worker processes contribute runner metrics but no in-process
+engine/link/TCP metrics; run with ``--no-cache`` serially for a full
+simulation snapshot.  ``--record`` also attaches the in-sim flight
+recorder (:mod:`repro.obs.recorder`) to every executed packet cell and
+stores its time series -- arrival rates, drops, queue depth, cwnd,
+recovery events -- for ``repro obs trace <cell> --export csv|npz``.
+Both are passive: results stay bit-identical.
+
+When stdout closes early (``repro fig06 | head``), the CLI stops
+quietly with exit status 141 (128 + SIGPIPE, what a shell reports for
+a process a closed pipe ended).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import pathlib
 import sys
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
-__all__ = ["main", "EXPERIMENTS"]
+__all__ = ["main", "EXPERIMENTS", "git_sha"]
 
 _log = logging.getLogger("repro.cli")
 
-#: where ``--metrics`` writes when no path is given.
-DEFAULT_RUNLOG = pathlib.Path("runlog.jsonl")
-
-#: where ``--store`` writes when no path is given (keep in sync with
-#: repro.obs.store.DEFAULT_STORE_NAME; not imported so ``--help`` stays
-#: fast).
+#: where ``--store`` writes (and ``obs query``/``trace`` read) when no
+#: path is given.
 DEFAULT_STORE = pathlib.Path("runlog.sqlite")
+
+#: exit status when stdout closes early (128 + SIGPIPE).
+EXIT_CLOSED_STDOUT = 141
+
+
+@functools.lru_cache(maxsize=1)
+def git_sha() -> Optional[str]:
+    """The current checkout's short commit SHA, or ``None``.
+
+    Best-effort provenance for a store's ``runs`` row: any failure (no
+    git binary, not a checkout, timeout) degrades to ``None`` rather
+    than raising.  Cached per process (``git_sha.cache_clear()``
+    resets): the SHA cannot change mid-run.
+    """
+    import subprocess
+
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=pathlib.Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=5.0,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else None
 
 
 def _fig06():  # deferred imports keep `--help` fast
@@ -230,11 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Denial-of-Service Attacks' (Luo & Chang, DSN 2005)."
         ),
         epilog=(
-            "Run-log tooling: 'repro obs report SRC [SRC...]' renders a "
-            "summary table from run logs (--metrics) or experiment "
-            "stores (--store); 'repro obs query' runs canned or raw SQL "
-            "queries against a store; 'repro obs trace' exports a "
-            "cell's recorded time series."
+            "Store tooling: 'repro obs report STORE [STORE...]' renders "
+            "a summary table from experiment stores (--store); 'repro "
+            "obs query' runs canned or raw SQL queries against a store; "
+            "'repro obs trace' exports a cell's recorded time series."
         ),
     )
     parser.add_argument(
@@ -299,20 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
              "$XDG_CACHE_HOME/repro-pdos)",
     )
     parser.add_argument(
-        "--metrics", type=pathlib.Path, nargs="?", const=DEFAULT_RUNLOG,
-        default=None, metavar="PATH",
-        help="enable the metrics registry and append one JSON-lines "
-             "run-log record per experiment to PATH (default: "
-             f"{DEFAULT_RUNLOG}); place the flag after the experiment "
-             "name when omitting PATH",
-    )
-    parser.add_argument(
         "--store", type=pathlib.Path, nargs="?", const=DEFAULT_STORE,
         default=None, metavar="PATH",
-        help="dual-write an sqlite experiment store to PATH (default: "
-             f"{DEFAULT_STORE}): runs, experiments, per-cell rows keyed "
-             "by the result-cache content hash, and metrics; query with "
-             "'repro obs query'",
+        help="enable the metrics registry and record the run in an "
+             f"sqlite experiment store at PATH (default: {DEFAULT_STORE}"
+             "): runs, experiments, per-cell rows keyed by the "
+             "result-cache content hash, and metrics; read with "
+             "'repro obs report/query'; place the flag after the "
+             "experiment name when omitting PATH",
     )
     parser.add_argument(
         "--record", action="store_true",
@@ -333,6 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StdoutHandler(logging.StreamHandler):
+    """A stdout log handler that lets a closed pipe end the run.
+
+    The stock handler reports a failed write as a ``Logging error``
+    traceback on stderr and carries on; re-raising ``BrokenPipeError``
+    lets :func:`main` stop quietly instead.
+    """
+
+    def handleError(self, record) -> None:
+        if isinstance(sys.exc_info()[1], BrokenPipeError):
+            raise
+        super().handleError(record)
+
+
 def _configure_logging(*, verbose: bool = False, quiet: bool = False) -> None:
     """Point the ``repro`` logger at the current stdout.
 
@@ -345,7 +375,7 @@ def _configure_logging(*, verbose: bool = False, quiet: bool = False) -> None:
         logging.WARNING if quiet else logging.INFO)
     logger = logging.getLogger("repro")
     logger.handlers.clear()
-    handler = logging.StreamHandler(sys.stdout)
+    handler = _StdoutHandler(sys.stdout)
     handler.setFormatter(logging.Formatter("%(message)s"))
     logger.addHandler(handler)
     logger.setLevel(level)
@@ -370,7 +400,7 @@ def _make_runner(args):  # deferred import keeps `--help` fast
 
 
 def _run_one(name: str, output_dir, runner=None, profile=False,
-             writer=None, store=None) -> None:
+             store=None) -> None:
     from repro.obs import metrics as obs_metrics
 
     if runner is not None and runner.dry_run:
@@ -388,14 +418,13 @@ def _run_one(name: str, output_dir, runner=None, profile=False,
 
     started = time.time()
     mark = runner.stats.checkpoint() if runner is not None else None
-    # A fresh registry per experiment: each run-log record then snapshots
-    # exactly one experiment's telemetry, not the whole invocation's.
-    telemetry = writer is not None or store is not None
-    registry = obs_metrics.enable() if telemetry else None
+    registry = None
     if store is not None:
-        # The store's experiment row opens before any cell runs (cell
-        # rows attach to it) with the same timestamp the run-log record
-        # carries, keeping the two sources byte-equivalent.
+        # A fresh registry per experiment: each experiment row then
+        # snapshots exactly one experiment's telemetry, not the whole
+        # invocation's.  The row opens before any cell runs: cell rows
+        # attach to it.
+        registry = obs_metrics.enable()
         store.begin_experiment(name, timestamp=started)
     try:
         if profile:
@@ -416,23 +445,12 @@ def _run_one(name: str, output_dir, runner=None, profile=False,
                   runner.stats.since(mark))
     else:
         _log.info("[%s: %.1fs]\n", name, elapsed)
-    delta = runner.stats.delta_snapshot(mark) if mark is not None else None
-    snapshot = registry.snapshot() if registry is not None else None
     if store is not None:
-        store.finish_experiment(elapsed_seconds=elapsed, runner=delta,
-                                metrics=snapshot)
-    if writer is not None:
-        from repro.obs.runlog import base_record
-
-        record = base_record("experiment", name)
-        record["timestamp"] = started  # start of the record, per schema
-        record["elapsed_seconds"] = elapsed
-        if delta is not None:
-            record["runner"] = delta
-        record["metrics"] = snapshot
-        if store is not None:
-            record["store"] = str(store.path)
-        writer.write(record)
+        store.finish_experiment(
+            elapsed_seconds=elapsed,
+            runner=(runner.stats.delta_snapshot(mark)
+                    if mark is not None else None),
+            metrics=registry.snapshot())
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
         (output_dir / f"{name}.txt").write_text(text + "\n")
@@ -454,15 +472,24 @@ def _render_table(names, rows) -> str:
     return "\n".join(lines)
 
 
+def _open_store(path):
+    """The store at *path*, or ``None`` after printing why it won't open."""
+    from repro.obs.store import open_readonly
+
+    try:
+        return open_readonly(path)
+    except (FileNotFoundError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return None
+
+
 def _obs_query(args) -> int:
     import sqlite3
 
-    from repro.obs.store import CANNED_QUERIES, open_readonly
+    from repro.obs.store import CANNED_QUERIES
 
-    try:
-        store = open_readonly(args.store)
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
+    store = _open_store(args.store)
+    if store is None:
         return 1
     with store:
         canned = CANNED_QUERIES.get(args.sql)
@@ -503,12 +530,8 @@ def _resolve_cell(store, token: str):
 def _obs_trace(args) -> int:
     import numpy as np
 
-    from repro.obs.store import open_readonly
-
-    try:
-        store = open_readonly(args.store)
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
+    store = _open_store(args.store)
+    if store is None:
         return 1
     with store:
         cell_id, error = _resolve_cell(store, args.cell)
@@ -558,19 +581,15 @@ def _obs_main(argv) -> int:
     """The ``repro obs ...`` tooling subcommands."""
     parser = argparse.ArgumentParser(
         prog="repro obs",
-        description="Inspect run logs (--metrics) and experiment stores "
-                    "(--store).",
+        description="Inspect experiment stores (--store).",
     )
     commands = parser.add_subparsers(dest="command", required=True)
     report = commands.add_parser(
-        "report",
-        help="render a summary table from run logs and/or stores",
+        "report", help="render a summary table from experiment stores",
     )
     report.add_argument(
-        "logs", nargs="+", type=pathlib.Path, metavar="SRC",
-        help="JSON-lines run logs or sqlite experiment stores; a log "
-             "whose records point at an existing store is upgraded to "
-             "the store",
+        "stores", nargs="+", type=pathlib.Path, metavar="STORE",
+        help="sqlite experiment stores written by --store",
     )
     report.add_argument(
         "--sort", choices=("time", "name", "elapsed"), default="time",
@@ -628,16 +647,33 @@ def _obs_main(argv) -> int:
         return _obs_trace(args)
     from repro.obs.report import render_report
 
-    missing = [path for path in args.logs if not path.is_file()]
-    if missing:
-        print("no such run log: " + ", ".join(str(p) for p in missing),
-              file=sys.stderr)
+    try:
+        print(render_report(args.stores, sort=args.sort, last=args.last))
+    except (FileNotFoundError, ValueError) as exc:
+        print(exc, file=sys.stderr)
         return 1
-    print(render_report(args.logs, sort=args.sort, last=args.last))
     return 0
 
 
 def main(argv=None) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`repro fig06 | head`).  Point stdout at
+        # devnull so the interpreter's exit-time flush cannot fail again.
+        try:
+            stdout_fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout_fd)
+            os.close(devnull)
+        except (OSError, ValueError):
+            pass  # stdout without a descriptor (in-process capture)
+        return EXIT_CLOSED_STDOUT
+    return status
+
+
+def _main(argv) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "obs":
         return _obs_main(argv[1:])
@@ -657,21 +693,15 @@ def main(argv=None) -> int:
         print("--record requires --store (it records into the store)",
               file=sys.stderr)
         return 2
-    if args.dry_run and (args.store is not None or args.metrics is not None
-                         or args.record):
-        print("--dry-run plans only; it cannot be combined with --store, "
-              "--metrics, or --record", file=sys.stderr)
+    if args.dry_run and (args.store is not None or args.record):
+        print("--dry-run plans only; it cannot be combined with --store "
+              "or --record", file=sys.stderr)
         return 2
     from repro.runner import set_default_runner
     runner = _make_runner(args)
     set_default_runner(runner)
-    writer = None
-    if args.metrics is not None:
-        from repro.obs.runlog import RunLogWriter
-        writer = RunLogWriter(args.metrics)
     store = None
     if args.store is not None:
-        from repro.obs.runlog import git_sha
         from repro.obs.store import ExperimentStore
         from repro.util.env import env_flag
 
@@ -686,7 +716,7 @@ def main(argv=None) -> int:
     try:
         for name in names:
             _run_one(name, args.output_dir, runner, profile=args.profile,
-                     writer=writer, store=store)
+                     store=store)
     finally:
         # Tear down the persistent worker pool once all experiments in
         # this invocation have drained it.
@@ -697,17 +727,6 @@ def main(argv=None) -> int:
             store.close()
             _log.info("[experiment store -> %s]", store.path)
     _log.info("[total: %s]", runner.stats.summary())
-    if writer is not None:
-        from repro.obs.runlog import base_record
-
-        record = base_record("run", args.experiment)
-        record["experiments"] = names
-        record["runner"] = runner.stats.snapshot()
-        if store is not None:
-            record["store"] = str(store.path)
-        writer.write(record)
-        _log.info("[run log: %d records -> %s]",
-                  writer.records_written, writer.path)
     return 0
 
 

@@ -1,7 +1,7 @@
 """The metrics registry: counters, gauges, histograms, timers.
 
 Observability is strictly opt-in.  A process-wide *active registry* is
-installed with :func:`enable` (the CLI's ``--metrics`` flag, the obs
+installed with :func:`enable` (the CLI's ``--store`` flag, the obs
 benchmarks, tests) and removed with :func:`disable`; instrumented code
 asks :func:`active` for it.  When no registry is active the answer is
 ``None``, and every instrumentation site is written so that the disabled
@@ -78,7 +78,7 @@ class Gauge:
 class Histogram:
     """Streaming count/sum/min/max/mean of observed samples.
 
-    Deliberately bucket-free: the run log wants compact summaries, and
+    Deliberately bucket-free: the store wants compact summaries, and
     the handful of consumers (cell wall times, cwnd spreads) only need
     the moments, not quantiles.
     """
@@ -303,8 +303,8 @@ def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
     """Install (and return) the process-wide registry.
 
     With no argument a fresh empty registry is installed -- the CLI does
-    this per experiment so each run-log record snapshots one experiment,
-    not the whole invocation.
+    this per experiment so each store experiment row snapshots one
+    experiment, not the whole invocation.
     """
     global _ACTIVE
     _ACTIVE = registry if registry is not None else MetricsRegistry()

@@ -9,11 +9,10 @@ in-memory memo entry all share one identity -- plus scalar ``metrics``
 and sampled time ``series`` (float64 blobs captured by the flight
 recorder, :mod:`repro.obs.recorder`).
 
-The JSON-lines run log (:mod:`repro.obs.runlog`) stays the wire
-format: the CLI dual-writes both, and
-:meth:`ExperimentStore.experiment_records` reconstructs runlog-shaped
-records from the store so ``repro obs report`` can render either
-source identically.
+The store is the one record of a run: ``repro <experiment> --store``
+writes it, ``repro obs query``/``trace`` read its tables, and
+:meth:`ExperimentStore.experiment_records` rebuilds the per-experiment
+rows ``repro obs report`` renders.
 
 Concurrency: only the parent process ever holds the connection --
 worker processes return series blobs by value -- so parallel runs
@@ -33,11 +32,8 @@ import numpy as np
 
 from repro.obs.recorder import Series
 
-__all__ = ["ExperimentStore", "CANNED_QUERIES", "DEFAULT_STORE_NAME",
-           "open_readonly", "is_store"]
-
-#: where ``--store`` writes when no path is given.
-DEFAULT_STORE_NAME = "runlog.sqlite"
+__all__ = ["ExperimentStore", "CANNED_QUERIES", "open_readonly",
+           "is_store"]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -369,14 +365,14 @@ class ExperimentStore:
         ).fetchall()
 
     # ------------------------------------------------------------------
-    # runlog-record reconstruction (report compatibility)
+    # per-experiment records (``repro obs report``)
     # ------------------------------------------------------------------
     def experiment_records(self) -> List[dict]:
-        """Runlog-shaped ``experiment`` records, oldest first.
+        """One dict per experiment row, oldest first.
 
-        Byte-compatible with what the CLI's ``--metrics`` writer logs
-        for the same run (the store↔runlog equivalence contract), so
-        ``repro obs report`` renders either source identically.
+        Each carries the experiment's name, start timestamp, wall time,
+        runner accounting and metrics snapshot, plus its run's git SHA
+        and ``REPRO_FULL`` flag.
         """
         records = []
         rows = self._db.execute(
@@ -387,12 +383,10 @@ class ExperimentStore:
         for (experiment_id, name, timestamp, elapsed, runner, sha,
              full) in rows:
             record = {
-                "record": "experiment",
                 "name": name,
                 "timestamp": timestamp,
                 "git_sha": sha,
                 "full": bool(full),
-                "store": str(self.path),
             }
             if elapsed is not None:
                 record["elapsed_seconds"] = elapsed
@@ -600,10 +594,18 @@ CANNED_QUERIES = {
 
 
 def open_readonly(path: Union[str, pathlib.Path]) -> ExperimentStore:
-    """Open an existing store (for querying; refuses to create one)."""
+    """Open an existing store for querying.
+
+    Refuses to create one (:class:`FileNotFoundError`) and to touch a
+    file that is not sqlite -- a JSON-lines log, an empty file -- with a
+    :class:`ValueError` naming the path, so opening never writes a
+    schema into someone else's file.
+    """
     path = pathlib.Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such experiment store: {path}")
+    if not is_store(path):
+        raise ValueError(f"not an experiment store: {path}")
     return ExperimentStore(path)
 
 

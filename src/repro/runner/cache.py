@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import logging
 import os
 import pathlib
 import tempfile
@@ -30,6 +31,8 @@ from repro.runner.cells import Cell, CellResult
 from repro.util.env import env_str
 
 __all__ = ["ResultCache", "cell_key", "code_version", "default_cache_dir"]
+
+_log = logging.getLogger("repro.runner.cache")
 
 #: Packages/modules whose source participates in the version fingerprint.
 _VERSIONED = (
@@ -100,9 +103,16 @@ class ResultCache:
         return self.directory / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[CellResult]:
-        """The cached result, or ``None`` on miss (or a corrupt entry)."""
+        """The cached result, or ``None`` on a miss.
+
+        A missing entry is a silent miss.  An entry that exists but does
+        not parse (a torn or hand-edited file) is logged as a warning
+        naming its key and path and also answers ``None``: the caller
+        recomputes the cell and :meth:`put` overwrites the entry.
+        """
+        path = self._path(key)
         try:
-            payload = json.loads(self._path(key).read_text())
+            payload = json.loads(path.read_text())
             flagged = payload["flagged_sources"]
             converged = payload.get("converged_at")
             return CellResult(
@@ -110,7 +120,11 @@ class ResultCache:
                 flagged_sources=None if flagged is None else int(flagged),
                 converged_at=None if converged is None else float(converged),
             )
-        except (OSError, ValueError, KeyError, TypeError):
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            _log.warning("corrupt cache entry %s at %s (%s); recomputing",
+                         key[:12], path, exc)
             return None
 
     def put(self, key: str, result: CellResult,

@@ -204,7 +204,7 @@ class RunnerStats:
         }
 
     def snapshot(self) -> dict:
-        """JSON-ready cumulative accounting (feeds run logs / metrics)."""
+        """JSON-ready cumulative accounting (feeds the store / metrics)."""
         snap = self.delta_snapshot(_ZERO_MARK)
         snap.update({
             "seed_fanout": len(self.seeds),

@@ -1,5 +1,6 @@
 """Shared fixtures for the repro test suite."""
 
+import logging
 import random
 
 import pytest
@@ -17,6 +18,17 @@ def sim() -> Simulator:
 def rng() -> random.Random:
     """A deterministic RNG for queue disciplines."""
     return random.Random(1234)
+
+
+@pytest.fixture
+def repro_caplog(caplog, monkeypatch):
+    """``caplog`` that also sees ``repro.*`` records.
+
+    The CLI stops "repro" records at its own stdout handler
+    (``propagate = False``); let them reach caplog's for the test.
+    """
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    return caplog
 
 
 @pytest.fixture(autouse=True)

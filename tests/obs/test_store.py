@@ -74,7 +74,7 @@ class TestSchema:
         db = tmp_path / "anything.bin"
         ExperimentStore(db).close()
         assert is_store(db)
-        log = tmp_path / "runlog.jsonl"
+        log = tmp_path / "runs.jsonl"
         log.write_text('{"record": "run"}\n')
         assert not is_store(log)
         assert not is_store(tmp_path / "absent")
@@ -82,6 +82,16 @@ class TestSchema:
     def test_open_readonly_refuses_to_create(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no such"):
             open_readonly(tmp_path / "absent.sqlite")
+
+    @pytest.mark.parametrize("content", [b"", b'{"record": "run"}\n'],
+                             ids=["empty", "jsonl"])
+    def test_open_readonly_refuses_non_store_without_writing(
+            self, tmp_path, content):
+        path = tmp_path / "not-a-store"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="not an experiment store"):
+            open_readonly(path)
+        assert path.read_bytes() == content
 
 
 class TestRecordCell:
@@ -156,13 +166,10 @@ class TestRecordCell:
             (None, None)]
 
 
-class TestRunlogEquivalence:
-    def test_store_records_match_runlog_records(self, tmp_path):
-        # The equivalence contract: a store reconstructs byte-identical
-        # runlog-shaped records, so `repro obs report` renders either
-        # source the same.
-        from repro.obs.runlog import RunLogWriter, read_run_log
-
+class TestExperimentRecords:
+    def test_records_rebuilt_from_rows(self, tmp_path):
+        # `repro obs report` renders these: every field the experiment
+        # and run rows hold, with JSON payload metrics decoded.
         store = make_store(tmp_path)
         metrics = {"engine.events_dispatched": 1000.0,
                    "engine.wall_seconds": 0.5,
@@ -170,14 +177,11 @@ class TestRunlogEquivalence:
         runner = {"cells": 3, "hit_ratio": 0.0}
         store.finish_experiment(elapsed_seconds=1.5, runner=runner,
                                 metrics=metrics)
-        record = {
-            "record": "experiment", "name": "fig06", "timestamp": 101.0,
-            "git_sha": "abc1234", "full": False, "store": str(store.path),
-            "elapsed_seconds": 1.5, "runner": runner, "metrics": metrics,
-        }
-        log = tmp_path / "runlog.jsonl"
-        RunLogWriter(log).write(record)
-        assert store.experiment_records() == read_run_log(log)
+        assert store.experiment_records() == [{
+            "name": "fig06", "timestamp": 101.0, "git_sha": "abc1234",
+            "full": False, "elapsed_seconds": 1.5, "runner": runner,
+            "metrics": metrics,
+        }]
 
     def test_run_accounting_persisted(self, tmp_path):
         store = make_store(tmp_path)

@@ -1,6 +1,7 @@
 """Cache keys, the version fingerprint, and the on-disk store."""
 
 import dataclasses
+import logging
 
 import pytest
 
@@ -130,15 +131,25 @@ class TestResultCache:
         cache.put("ab" + "0" * 62, CellResult(goodput_bytes=value))
         assert cache.get("ab" + "0" * 62).goodput_bytes == value
 
-    def test_miss_returns_none(self, tmp_path):
-        assert ResultCache(tmp_path).get("ff" + "0" * 62) is None
+    def test_miss_returns_none(self, tmp_path, repro_caplog):
+        with repro_caplog.at_level(logging.DEBUG,
+                                   logger="repro.runner.cache"):
+            assert ResultCache(tmp_path).get("ff" + "0" * 62) is None
+        assert repro_caplog.records == []  # a missing entry is silent
 
-    def test_corrupt_entry_tolerated(self, tmp_path):
+    def test_corrupt_entry_tolerated(self, tmp_path, repro_caplog):
         cache = ResultCache(tmp_path)
         key = "cd" + "0" * 62
         cache.put(key, CellResult(goodput_bytes=1.0))
-        (tmp_path / key[:2] / f"{key}.json").write_text("{not json")
-        assert cache.get(key) is None
+        path = tmp_path / key[:2] / f"{key}.json"
+        path.write_text("{not json")
+        with repro_caplog.at_level(logging.WARNING,
+                                   logger="repro.runner.cache"):
+            assert cache.get(key) is None
+        [record] = repro_caplog.records
+        assert record.levelno == logging.WARNING
+        assert key[:12] in record.getMessage()
+        assert str(path) in record.getMessage()
 
     def test_len_counts_entries(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,5 +1,6 @@
 """The executor: determinism, dedup, caching, parallel fan-out, stats."""
 
+import logging
 import os
 import signal
 import socket
@@ -177,6 +178,28 @@ class TestCachePersistence:
         cached_wall = time.perf_counter() - started
 
         assert executed_wall >= 5.0 * cached_wall
+
+    def test_corrupt_entry_recomputed_and_rewritten(self, tmp_path,
+                                                    repro_caplog):
+        from repro.runner import ResultCache, cell_key
+
+        cell = make_cell()
+        first = ExperimentRunner(cache_dir=tmp_path).measure(cell)
+        key = cell_key(cell)
+        entry = tmp_path / key[:2] / f"{key}.json"
+        text = entry.read_text()
+        entry.write_text(text[:len(text) // 2])  # a torn write
+
+        rerun = ExperimentRunner(cache_dir=tmp_path)
+        with repro_caplog.at_level(logging.WARNING,
+                                   logger="repro.runner.cache"):
+            again = rerun.measure(cell)
+        assert again == first  # bit-identical recomputation
+        assert rerun.stats.executed == 1
+        assert rerun.stats.cache_hits == 0
+        [warning] = repro_caplog.records
+        assert key[:12] in warning.getMessage()
+        assert ResultCache(tmp_path).get(key) == first
 
     def test_no_cache_dir_means_no_disk_io(self):
         runner = ExperimentRunner()

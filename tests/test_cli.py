@@ -1,5 +1,13 @@
 """The command-line experiment runner."""
 
+import io
+import json
+import logging
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -53,22 +61,17 @@ class TestParser:
         default = build_parser().parse_args(["fig06", "--no-cache"])
         assert _make_runner(default).warm_start is True
 
-    def test_metrics_flag_off_by_default(self):
+    def test_store_flag_off_by_default(self):
         args = build_parser().parse_args(["fig04"])
-        assert args.metrics is None
+        assert args.store is None
+        assert not args.record
         assert not args.verbose
         assert not args.quiet
 
-    def test_bare_metrics_flag_uses_default_runlog(self):
-        from repro.cli import DEFAULT_RUNLOG
-
-        args = build_parser().parse_args(["fig04", "--metrics"])
-        assert args.metrics == DEFAULT_RUNLOG
-
-    def test_metrics_flag_with_path(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        args = build_parser().parse_args(["fig04", "--metrics", str(path)])
-        assert args.metrics == path
+    def test_store_flag_with_path(self, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        args = build_parser().parse_args(["fig04", "--store", str(path)])
+        assert args.store == path
 
     def test_verbose_and_quiet_are_exclusive(self):
         assert build_parser().parse_args(["fig04", "-v"]).verbose
@@ -124,58 +127,46 @@ class TestMain:
         assert "executed in" in out  # per-cell debug line
 
 
-class TestMetricsFlag:
-    def test_writes_experiment_and_run_records(self, capsys, tmp_path):
-        from repro.obs.runlog import read_run_log
-
-        path = tmp_path / "runlog.jsonl"
-        assert main(["fig01", "--no-cache", "--metrics", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert f"2 records -> {path}" in out
-        records = read_run_log(path)
-        assert [r["record"] for r in records] == ["experiment", "run"]
-        experiment, run = records
-        assert experiment["name"] == "fig01"
-        assert experiment["elapsed_seconds"] > 0
-        assert experiment["metrics"]["engine.events_dispatched"] > 0
-        assert any(key.startswith("link.bottleneck.")
-                   for key in experiment["metrics"])
-        assert any(key.startswith("tcp.") for key in experiment["metrics"])
-        # fig01 simulates directly rather than through runner cells, but
-        # the accounting block is still present in both records.
-        assert experiment["runner"]["hit_ratio"] == 0.0
-        assert run["runner"]["worker_utilization"] is None
-        assert run["experiments"] == ["fig01"]
-
-    def test_appends_across_invocations(self, capsys, tmp_path):
-        from repro.obs.runlog import read_run_log
-
-        path = tmp_path / "runlog.jsonl"
-        assert main(["fig04", "--metrics", str(path)]) == 0
-        assert main(["fig04", "--metrics", str(path)]) == 0
-        assert len(read_run_log(path)) == 4
-
-    def test_registry_disabled_after_run(self, capsys, tmp_path):
-        from repro.obs import metrics
-
-        main(["fig04", "--metrics", str(tmp_path / "log.jsonl")])
-        assert metrics.active() is None
-
-
 class TestObsReport:
-    def test_report_renders_run_log(self, capsys, tmp_path):
-        path = tmp_path / "runlog.jsonl"
-        assert main(["fig01", "--no-cache", "--metrics", str(path)]) == 0
+    def test_report_renders_store(self, capsys, tmp_path):
+        db = tmp_path / "runlog.sqlite"
+        assert main(["fig01", "--no-cache", "--store", str(db)]) == 0
         capsys.readouterr()
-        assert main(["obs", "report", str(path)]) == 0
+        assert main(["obs", "report", str(db)]) == 0
         out = capsys.readouterr().out
-        assert "fig01" in out
         assert "kev/s" in out
-        assert "1 records" in out  # run record excluded from the table
+        assert "1 records" in out
+        row = next(line for line in out.splitlines()
+                   if line.startswith("fig01"))
+        # Every column is filled: wall, cells, hit %, events, kev/s,
+        # goodput, drop %.
+        assert "-" not in row.split()[1:]
 
     def test_report_missing_log_fails(self, capsys, tmp_path):
-        assert main(["obs", "report", str(tmp_path / "absent.jsonl")]) == 1
-        assert "no such run log" in capsys.readouterr().err
+        path = tmp_path / "absent.jsonl"
+        assert main(["obs", "report", str(path)]) == 1
+        assert f"no such experiment store: {path}" in capsys.readouterr().err
+
+
+class TestNonStoreInput:
+    """A path that is not an sqlite store is named and left untouched."""
+
+    @pytest.mark.parametrize("content", [b"", b'{"name": "fig06"}\n'],
+                             ids=["empty", "jsonl"])
+    @pytest.mark.parametrize("command", [
+        ["obs", "report", "{path}"],
+        ["obs", "query", "gamma-star", "--store", "{path}"],
+        ["obs", "trace", "1", "--store", "{path}"],
+    ], ids=["report", "query", "trace"])
+    def test_named_error_and_file_unchanged(self, capsys, tmp_path,
+                                            command, content):
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(content)
+        argv = [arg.format(path=path) for arg in command]
+        assert main(argv) == 1
+        assert (f"not an experiment store: {path}"
+                in capsys.readouterr().err)
+        assert path.read_bytes() == content
 
 
 class TestStoreFlag:
@@ -190,24 +181,70 @@ class TestStoreFlag:
         assert main(["fig04", "--record"]) == 2
         assert "--record requires --store" in capsys.readouterr().err
 
-    def test_dual_writes_store_and_runlog(self, capsys, tmp_path):
-        from repro.obs.runlog import read_run_log
+    def test_records_run_experiment_and_metrics(self, capsys, tmp_path):
+        from repro.cli import git_sha
         from repro.obs.store import is_store, open_readonly
 
         db = tmp_path / "runlog.sqlite"
-        log = tmp_path / "runlog.jsonl"
-        assert main(["fig01", "--no-cache", "--store", str(db),
-                     "--metrics", str(log)]) == 0
+        argv = ["fig01", "--no-cache", "--store", str(db)]
+        assert main(argv) == 0
+        assert f"[experiment store -> {db}]" in capsys.readouterr().out
         assert is_store(db)
-        records = read_run_log(log)
-        assert all(r["store"] == str(db) for r in records)
+        with open_readonly(db) as store:
+            [experiment] = store.experiment_records()
+            runs = store.query(
+                "SELECT name, git_sha, argv, runner FROM runs")[1]
+        assert experiment["name"] == "fig01"
+        assert experiment["elapsed_seconds"] > 0
+        assert experiment["git_sha"] == git_sha()
+        metrics = experiment["metrics"]
+        assert metrics["engine.events_dispatched"] > 0
+        assert any(key.startswith("link.bottleneck.") for key in metrics)
+        assert any(key.startswith("tcp.") for key in metrics)
+        # fig01 simulates directly rather than through runner cells, but
+        # the accounting block is still present on both rows.
+        assert experiment["runner"]["hit_ratio"] == 0.0
+        [(name, sha, run_argv, runner)] = runs
+        assert (name, sha) == ("fig01", git_sha())
+        assert json.loads(run_argv) == argv
+        assert json.loads(runner)["worker_utilization"] is None
+
+    def test_experiment_row_belongs_to_its_run(self, capsys, tmp_path):
+        from repro.obs.store import is_store, open_readonly
+
+        db = tmp_path / "runlog.sqlite"
+        assert main(["fig01", "--no-cache", "--store", str(db)]) == 0
+        assert is_store(db)
         with open_readonly(db) as store:
             assert store.query("SELECT name FROM runs")[1] == [("fig01",)]
             assert (store.query("SELECT name FROM experiments")[1]
                     == [("fig01",)])
-            # The equivalence contract, via the real CLI: the store
-            # reconstructs the exact record the run log holds.
-            assert store.experiment_records() == [records[0]]
+            [(linked,)] = store.query(
+                "SELECT count(*) FROM experiments e"
+                " JOIN runs r ON e.run_id = r.run_id")[1]
+            [(timestamp,)] = store.query(
+                "SELECT timestamp FROM experiments")[1]
+            [record] = store.experiment_records()
+        assert linked == 1
+        # The record is rebuilt from the stored rows, not kept aside.
+        assert record["timestamp"] == timestamp
+
+    def test_appends_across_invocations(self, capsys, tmp_path):
+        from repro.obs.store import open_readonly
+
+        db = tmp_path / "runlog.sqlite"
+        assert main(["fig04", "--store", str(db)]) == 0
+        assert main(["fig04", "--store", str(db)]) == 0
+        with open_readonly(db) as store:
+            assert store.query("SELECT count(*) FROM runs")[1] == [(2,)]
+            assert [r["name"] for r in store.experiment_records()] == [
+                "fig04", "fig04"]
+
+    def test_registry_disabled_after_run(self, capsys, tmp_path):
+        from repro.obs import metrics
+
+        main(["fig04", "--store", str(tmp_path / "runlog.sqlite")])
+        assert metrics.active() is None
 
     def test_recorded_cells_land_in_store(self, capsys, tmp_path):
         # fig06 at smoke scale exercises the full path: runner cells,
@@ -470,7 +507,82 @@ class TestDryRunFlag:
 
     def test_rejects_observability_sinks(self, capsys, tmp_path):
         for extra in (["--store", str(tmp_path / "s.sqlite")],
-                      ["--metrics", str(tmp_path / "m.jsonl")],
                       ["--store", str(tmp_path / "s.sqlite"), "--record"]):
             assert main(["fig01", "--dry-run", *extra]) == 2
             assert "cannot be combined" in capsys.readouterr().err
+
+
+class TestGitSha:
+    def test_git_sha_in_this_checkout(self):
+        # The repo is a git checkout, so a short SHA should come back;
+        # the function contract allows None only outside a checkout.
+        from repro.cli import git_sha
+
+        sha = git_sha()
+        assert sha is None or (isinstance(sha, str) and len(sha) >= 7)
+
+    def test_git_sha_cached_per_process(self, monkeypatch):
+        # One subprocess call per process: the cached value answers
+        # repeat calls even if git stops working mid-run.
+        from repro.cli import git_sha
+
+        git_sha.cache_clear()
+        try:
+            first = git_sha()
+
+            def boom(*args, **kwargs):
+                raise OSError("git gone")
+
+            monkeypatch.setattr(subprocess, "run", boom)
+            assert git_sha() == first      # served from the cache
+            git_sha.cache_clear()
+            assert git_sha() is None       # a cold call really shells out
+        finally:
+            git_sha.cache_clear()
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    def test_piped_run_exits_quietly(self):
+        # `repro fig06 --dry-run --no-cache | head`, with the reader
+        # gone before the first write.
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "fig06", "--dry-run",
+             "--no-cache"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert "Logging error" not in err
+        assert "Traceback" not in err
+
+    def test_in_process_main_returns_exit_status(self, capsys,
+                                                 monkeypatch):
+        # main() points the "repro" logger at the closed stdout; hand
+        # the logger its previous handlers back afterwards.
+        logger = logging.getLogger("repro")
+        monkeypatch.setattr(logger, "handlers", list(logger.handlers))
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["fig04", "--no-cache"]) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_log_handler_lets_a_closed_pipe_propagate(self):
+        # The stock handler would print a "Logging error" traceback and
+        # carry on; the CLI's handler hands the error to main().
+        from repro.cli import _StdoutHandler
+
+        handler = _StdoutHandler(_ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            handler.handle(logging.makeLogRecord({"msg": "progress"}))
