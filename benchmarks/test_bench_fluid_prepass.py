@@ -1,6 +1,6 @@
 """Bench: fluid pre-pass vs the adaptive planner alone.
 
-The ``--fast`` path now runs a fluid (ODE) localization sweep before
+``FAST_POLICY`` runs a fluid (ODE) localization sweep before
 any packet cell: a two-stage sampling of a 17-point fluid γ grid
 (about a dozen cells, integrated at the pre-pass's coarse step) costs
 a few hundred milliseconds and pins γ* to one grid point, so the

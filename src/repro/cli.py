@@ -11,13 +11,8 @@ Examples::
     python -m repro.cli all -o results/
 
 ``--full`` sets ``REPRO_FULL=1`` for the invocation (paper-scale
-sweeps); ``--fast`` sets ``REPRO_FAST=1``, routing gain sweeps through
-the adaptive experiment planner (a fluid-model pre-pass that localizes
-γ* in milliseconds before any packet cell runs, coarse-to-fine γ
-refinement, CI-driven seed allocation, convergence early-exit --
-approximate but several times faster, under distinct cache keys);
-``--no-fluid`` keeps the planner but skips its fluid pre-pass;
-``-o DIR`` additionally writes each rendering to ``DIR/<name>.txt``.
+sweeps); ``-o DIR`` additionally writes each rendering to
+``DIR/<name>.txt``.
 
 ``--jobs N`` fans independent measurement cells out over N worker
 processes (one persistent pool per invocation); ``--cache-dir DIR`` /
@@ -268,21 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--full", action="store_true",
         help="paper-scale sweeps (sets REPRO_FULL=1; much slower)",
-    )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="adaptive experiment planner for gain sweeps (sets "
-             "REPRO_FAST=1): a fluid-model pre-pass localizes gamma* in "
-             "milliseconds, then packet-level cells confirm only the "
-             "peak neighborhood, with coarse-to-fine gamma refinement, "
-             "CI-driven seed allocation, and in-sim convergence "
-             "early-exit; approximate results under distinct cache keys",
-    )
-    parser.add_argument(
-        "--no-fluid", action="store_true",
-        help="with --fast, skip the fluid-model pre-pass (sets "
-             "REPRO_NO_FLUID=1): the planner explores the full "
-             "packet-level coarse grid instead",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -685,10 +665,6 @@ def _main(argv) -> int:
         return 0
     if args.full:
         os.environ["REPRO_FULL"] = "1"
-    if args.fast:
-        os.environ["REPRO_FAST"] = "1"
-    if args.no_fluid:
-        os.environ["REPRO_NO_FLUID"] = "1"
     if args.record and args.store is None:
         print("--record requires --store (it records into the store)",
               file=sys.stderr)

@@ -181,35 +181,12 @@ def run_aqm_hardening(
     extent: float = ms(100),
     n_flows: int = 15,
     gammas=None,
-    planner=None,
 ) -> AQMHardeningResult:
-    """Sweep the same attack against RED and CHOKe bottlenecks.
-
-    With *planner* set (or ``REPRO_FAST=1``) the two sweeps run through
-    the adaptive planner -- convergence early-exit plus CI-driven seed
-    allocation -- but on a *fixed shared grid* (refinement disabled):
-    :meth:`AQMHardeningResult.mean_gain_reduction` differences the RED
-    and CHOKe curves pointwise, which requires matched γ arrays.
-    """
-    from repro.runner.planner import active_policy, run_planned_sweep
-
+    """Sweep the same attack against RED and CHOKe bottlenecks."""
     if gammas is None:
         gammas = default_gammas()
-    if planner is None:
-        planner = active_policy()
     red_platform = DumbbellPlatform(n_flows=n_flows, queue="red", seed=600)
     choke_platform = DumbbellPlatform(n_flows=n_flows, queue="choke", seed=600)
-    if planner is not None:
-        fixed = dataclasses.replace(planner, max_rounds=0)
-        red_sweep = run_planned_sweep(
-            red_platform, rate_bps=rate_bps, extent=extent, gammas=gammas,
-            label="RED [fast]", policy=fixed,
-        )
-        choke_sweep = run_planned_sweep(
-            choke_platform, rate_bps=rate_bps, extent=extent, gammas=gammas,
-            label="CHOKe [fast]", policy=fixed,
-        )
-        return AQMHardeningResult(red=red_sweep.curve, choke=choke_sweep.curve)
     red, choke = run_gain_sweeps([
         plan_gain_sweep(
             red_platform,

@@ -15,15 +15,13 @@ sources the conformance filter flags.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.core.attack import PulseTrain
 from repro.core.distributed import split_interleaved, split_synchronized
 from repro.runner import Cell, DeploymentSpec, PlatformSpec, get_default_runner
-from repro.runner.cells import goodput_rate
-from repro.runner.planner import FAST_POLICY, fast_mode
 from repro.sim.tcp import TCPConfig, TCPVariant
 from repro.util.units import mbps, ms
 
@@ -85,18 +83,8 @@ def run_distributed_attack(
     warmup: float = 6.0,
     window: float = 20.0,
     seed: int = 17,
-    fast: Optional[bool] = None,
 ) -> DistributedResult:
-    """Compare single-source vs synchronized vs interleaved deployments.
-
-    *fast* (default: follow ``REPRO_FAST``) stamps the fast policy's
-    convergence early-exit on every cell and compares degradations as
-    goodput *rates* over each cell's measured span.  The exact path is
-    byte-based over the full window, unchanged.
-    """
-    if fast is None:
-        fast = fast_mode()
-    early_exit = FAST_POLICY.early_exit if fast else None
+    """Compare single-source vs synchronized vs interleaved deployments."""
     bottleneck = mbps(15)
     period = PulseTrain.period_from_gamma(
         gamma=gamma, rate_bps=rate_bps, extent=extent,
@@ -128,7 +116,6 @@ def run_distributed_attack(
                 else DeploymentSpec.from_attack(deployment)
             ),
             rate_floor_bps=floor,
-            early_exit=early_exit,
         )
 
     # All four measurements are independent: one runner batch.
@@ -140,17 +127,8 @@ def run_distributed_attack(
     ]
     results = get_default_runner().measure_many(cells)
 
-    if fast:
-        # Early exits truncate different cells at different times, so
-        # compare time-normalized rates.
-        def _degradation(index: int) -> float:
-            baseline_rate = goodput_rate(cells[0], results[0])
-            return 1.0 - goodput_rate(cells[index], results[index]) / baseline_rate
-    else:
-        # Byte-based, as the exact path has always computed it (kept
-        # bit-identical; rate-normalizing would perturb the last ulp).
-        def _degradation(index: int) -> float:
-            return 1.0 - results[index].goodput_bytes / results[0].goodput_bytes
+    def _degradation(index: int) -> float:
+        return 1.0 - results[index].goodput_bytes / results[0].goodput_bytes
 
     outcomes: Dict[str, DeploymentOutcome] = {}
     outcomes["single"] = DeploymentOutcome(

@@ -3,23 +3,16 @@
 A purely analytical figure: one curve per attacker type (risk-loving
 κ < 1, risk-neutral κ = 1, risk-averse κ > 1), plus the two limits the
 paper discusses (κ → 0: the flooding attacker; κ → ∞: never attacks).
-
-Fast mode: with an active planner policy the figure additionally
-*measures* the maximization point γ*(κ) for each plotted κ -- the
-quantity Proposition 3 derives in closed form -- by running one
-adaptive gain sweep per κ and comparing the empirical peak against
-:func:`repro.core.optimizer.optimal_gamma`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.core.gain import RiskPreference, classify_kappa, risk_curve
-from repro.util.units import mbps, ms
 
 __all__ = ["RiskCurves", "run_fig04"]
 
@@ -31,13 +24,10 @@ class RiskCurves:
     Attributes:
         gammas: the γ grid in [0, 1].
         curves: κ -> the sampled ``(1 − γ)^κ`` values.
-        measured_peaks: κ -> the adaptive sweep that localized the
-            measured γ*(κ); ``None`` outside fast mode.
     """
 
     gammas: np.ndarray
     curves: Dict[float, np.ndarray]
-    measured_peaks: Optional[Dict[float, object]] = None
 
     def render(self) -> str:
         header = ["gamma".rjust(7)] + [
@@ -51,20 +41,6 @@ class RiskCurves:
                 f"{values[i]:22.4f}" for values in self.curves.values()
             ]
             lines.append(" ".join(row))
-        if self.measured_peaks:
-            from repro.core.optimizer import optimal_gamma
-
-            lines.append(
-                "measured maximization points gamma*(kappa) "
-                "(fast mode, adaptive planner):"
-            )
-            for kappa, sweep in self.measured_peaks.items():
-                analytic = optimal_gamma(sweep.curve.c_psi, kappa)
-                lines.append(
-                    f"  kappa={kappa:g}: measured gamma*="
-                    f"{sweep.gamma_star:.3f} (G={sweep.gain_at_peak:.3f}), "
-                    f"Prop. 3 gamma*={analytic:.3f}"
-                )
         return "\n".join(lines)
 
     def classes(self) -> Dict[float, RiskPreference]:
@@ -75,35 +51,8 @@ class RiskCurves:
 def run_fig04(
     kappas: Sequence[float] = (0.5, 1.0, 3.0),
     n_points: int = 11,
-    *,
-    planner=None,
-    rate_bps: float = mbps(30),
-    extent: float = ms(100),
-    n_flows: int = 15,
-    seed: int = 404,
 ) -> RiskCurves:
-    """Sample the Fig.-4 curves (defaults: one per attacker type).
-
-    With *planner* set (or ``REPRO_FAST=1``), also measure γ*(κ) per
-    plotted κ via one adaptive sweep each -- the empirical counterpart
-    of Proposition 3's closed form.  The analytical curves themselves
-    are identical either way.
-    """
-    from repro.runner.planner import active_policy, run_planned_sweep
-
+    """Sample the Fig.-4 curves (defaults: one per attacker type)."""
     gammas = np.linspace(0.0, 1.0, n_points)
     curves = {float(kappa): risk_curve(gammas, kappa) for kappa in kappas}
-    if planner is None:
-        planner = active_policy()
-    peaks = None
-    if planner is not None:
-        from repro.experiments.base import DumbbellPlatform
-
-        platform = DumbbellPlatform(n_flows=n_flows, seed=seed)
-        peaks = {}
-        for kappa in curves:
-            peaks[kappa] = run_planned_sweep(
-                platform, rate_bps=rate_bps, extent=extent, kappa=kappa,
-                policy=planner, label=f"kappa={kappa:g} [fast]",
-            )
-    return RiskCurves(gammas=gammas, curves=curves, measured_peaks=peaks)
+    return RiskCurves(gammas=gammas, curves=curves)

@@ -11,19 +11,12 @@ on the dumbbell platform; the driver also classifies every series into
 the §4.1.1 normal/under/over-gain regimes and reports the maximization
 points (§4.1.2): the γ at which the measured and the analytical gain
 peak.
-
-Fast mode: with an active :class:`~repro.runner.planner.PlannerPolicy`
-(``--fast`` / ``REPRO_FAST=1`` / the ``planner=`` argument) every series
-resolves through the adaptive planner instead of the dense grid --
-coarse-to-fine γ refinement around the peak, CI-driven seed allocation,
-and convergence early-exit.  The rendered figure then carries a
-per-series planner report alongside the usual maximization points.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.base import (
     DumbbellPlatform,
@@ -34,7 +27,6 @@ from repro.experiments.base import (
     render_curve_table,
     run_gain_sweeps,
 )
-from repro.runner.planner import active_policy, run_planned_sweep
 from repro.util.units import mbps, ms
 from repro.util.errors import ValidationError
 
@@ -59,17 +51,11 @@ def panel_flow_counts() -> List[int]:
 
 @dataclasses.dataclass(frozen=True)
 class GainFigure:
-    """One reproduced figure: panels keyed by flow count.
-
-    ``planner_reports`` is empty for exact (dense-grid) runs; in fast
-    mode it carries one :class:`~repro.runner.planner.PlannedSweep` per
-    series, in panel order.
-    """
+    """One reproduced figure: panels keyed by flow count."""
 
     figure: int
     rate_bps: float
     panels: Dict[int, List[GainCurve]]
-    planner_reports: Tuple = ()
 
     def render(self) -> str:
         parts = []
@@ -90,12 +76,6 @@ class GainFigure:
                     f" analytic gamma*={peak_a.gamma:.2f} "
                     f"(G={peak_a.analytic_gain:.3f})"
                 )
-        if self.planner_reports:
-            parts.append("\n".join(
-                ["fast mode (adaptive planner):"]
-                + [f"  {report.summary()}"
-                   for report in self.planner_reports]
-            ))
         return "\n\n".join(parts)
 
     def all_curves(self) -> List[GainCurve]:
@@ -109,7 +89,6 @@ def run_gain_figure(
     extents: Optional[Sequence[float]] = None,
     gammas=None,
     kappa: float = 1.0,
-    planner=None,
 ) -> GainFigure:
     """Reproduce one of Figs. 6-9.
 
@@ -119,10 +98,6 @@ def run_gain_figure(
         extents: T_extent series; defaults to the paper's 50/75/100 ms.
         gammas: swept γ grid; defaults per scale.
         kappa: risk exponent of the plotted gain (risk-neutral 1.0).
-        planner: a :class:`~repro.runner.planner.PlannerPolicy` to
-            resolve every series adaptively; defaults to
-            :func:`~repro.runner.planner.active_policy` (``None``
-            unless ``REPRO_FAST=1``), so exact runs are untouched.
     """
     if figure not in FIGURE_RATES:
         raise ValidationError(
@@ -133,12 +108,6 @@ def run_gain_figure(
         flow_counts = panel_flow_counts()
     if extents is None:
         extents = EXTENTS
-    if planner is None:
-        planner = active_policy()
-    if planner is not None:
-        return _run_gain_figure_planned(
-            figure, rate, flow_counts, extents, gammas, kappa, planner,
-        )
     if gammas is None:
         gammas = default_gammas()
 
@@ -168,39 +137,3 @@ def run_gain_figure(
         panels[n_flows].append(curve)
     return GainFigure(figure=figure, rate_bps=rate, panels=panels)
 
-
-def _run_gain_figure_planned(
-    figure: int,
-    rate: float,
-    flow_counts: Sequence[int],
-    extents: Sequence[float],
-    gammas,
-    kappa: float,
-    planner,
-) -> GainFigure:
-    """Fast-mode figure: one adaptive sweep per (panel, series)."""
-    panels: Dict[int, List[GainCurve]] = {n: [] for n in flow_counts}
-    reports = []
-    for n_flows in flow_counts:
-        platform = DumbbellPlatform(
-            n_flows=n_flows, seed=figure * 100 + n_flows,
-        )
-        for extent in extents:
-            sweep = run_planned_sweep(
-                platform,
-                rate_bps=rate,
-                extent=extent,
-                gammas=gammas,
-                kappa=kappa,
-                policy=planner,
-                label=(
-                    f"T_extent={extent * 1e3:.0f}ms, {n_flows} flows, "
-                    f"R={rate / 1e6:.0f}M [fast]"
-                ),
-            )
-            panels[n_flows].append(sweep.curve)
-            reports.append(sweep)
-    return GainFigure(
-        figure=figure, rate_bps=rate, panels=panels,
-        planner_reports=tuple(reports),
-    )

@@ -7,9 +7,9 @@ headline simulation outcomes (delivered goodput, bottleneck drop rate)
 -- followed by a totals line.  Fields a record lacks render as ``-``;
 the report never fails on a sparse store.
 
-``sort`` orders rows by arrival time (default), name, or elapsed wall
-time; ``last`` keeps only the N most recent records, so accumulated
-stores stay readable.
+``sort`` orders rows by start timestamp (default), name, or elapsed
+wall time; ``last`` keeps only the N most recent records, so
+accumulated stores stay readable.
 """
 
 from __future__ import annotations
@@ -53,15 +53,6 @@ class _Row:
         self.warm_starts = _runner_field(record, "warm_starts")
         self.warmup_seconds_saved = _runner_field(
             record, "warmup_seconds_saved")
-        self.planner_rounds = _runner_field(record, "planner_rounds")
-        self.planner_cells_saved = _runner_field(
-            record, "planner_cells_saved")
-        self.planner_seeds_saved = _runner_field(
-            record, "planner_seeds_saved")
-        self.truncated_cells = _runner_field(record, "truncated_cells")
-        self.truncated_sim_seconds = _runner_field(
-            record, "truncated_sim_seconds")
-        self.fluid_cells = _runner_field(record, "fluid_cells")
         self.events = _metric(record, "engine.events_dispatched")
         wall = _metric(record, "engine.wall_seconds")
         self.events_per_sec = (
@@ -109,14 +100,16 @@ def summarize_records(records: Iterable[dict], *, sort: str = "time",
                       last: Optional[int] = None) -> str:
     """The report body for an iterable of parsed records.
 
-    *sort*: ``"time"`` keeps arrival order (stores append
-    chronologically), ``"name"`` sorts alphabetically, ``"elapsed"``
-    sorts by wall time, most expensive first.  *last* keeps only the N
-    most recent records (applied before sorting).
+    *sort*: ``"time"`` orders by start timestamp, oldest first (rows
+    without one go last; ties keep input order), ``"name"`` sorts
+    alphabetically, ``"elapsed"`` sorts by wall time, most expensive
+    first.  *last* keeps only the N most recent records by timestamp
+    (applied before sorting), wherever they came from.
     """
     if sort not in SORT_CHOICES:
         raise ValueError(f"sort must be one of {SORT_CHOICES}, got {sort!r}")
     rows = [_Row(r) for r in records]
+    rows.sort(key=lambda r: (r.timestamp is None, r.timestamp or 0.0))
     if last is not None:
         if last < 0:
             raise ValueError(f"last must be >= 0, got {last}")
@@ -162,28 +155,6 @@ def summarize_records(records: Iterable[dict], *, sort: str = "time",
             f"; {total_warm:.0f} warm starts saved {total_saved:.0f}s "
             "of simulated warm-up"
         )
-
-    def _total(field: str) -> float:
-        return sum(value for r in rows
-                   if (value := getattr(r, field)) is not None)
-
-    planner_cells = _total("planner_cells_saved")
-    planner_seeds = _total("planner_seeds_saved")
-    if planner_cells or planner_seeds or _total("planner_rounds"):
-        footer += (
-            f"; planner: {_total('planner_rounds'):.0f} refinement "
-            f"rounds saved {planner_cells:.0f} grid cells + "
-            f"{planner_seeds:.0f} seeds"
-        )
-    truncated = _total("truncated_cells")
-    if truncated:
-        footer += (
-            f"; {truncated:.0f} early exits truncated "
-            f"{_total('truncated_sim_seconds'):.0f}s of simulation"
-        )
-    fluid = _total("fluid_cells")
-    if fluid:
-        footer += f"; {fluid:.0f} cells on the fluid backend"
     lines.append(footer)
     return "\n".join(lines)
 

@@ -597,7 +597,8 @@ def open_readonly(path: Union[str, pathlib.Path]) -> ExperimentStore:
     """Open an existing store for querying.
 
     Refuses to create one (:class:`FileNotFoundError`) and to touch a
-    file that is not sqlite -- a JSON-lines log, an empty file -- with a
+    file that is not a store -- a JSON-lines log, an empty file, an
+    sqlite database without an ``experiments`` table -- with a
     :class:`ValueError` naming the path, so opening never writes a
     schema into someone else's file.
     """
@@ -610,9 +611,23 @@ def open_readonly(path: Union[str, pathlib.Path]) -> ExperimentStore:
 
 
 def is_store(path: Union[str, pathlib.Path]) -> bool:
-    """True when *path* is an sqlite database file."""
+    """True when *path* is an sqlite database with an ``experiments`` table.
+
+    The probe opens the database read-only, so it never writes.
+    """
     path = pathlib.Path(path)
     if not path.is_file():
         return False
     with path.open("rb") as handle:
-        return handle.read(16).startswith(b"SQLite format 3")
+        if not handle.read(16).startswith(b"SQLite format 3"):
+            return False
+    db = sqlite3.connect(path.resolve().as_uri() + "?mode=ro", uri=True)
+    try:
+        return db.execute(
+            "SELECT 1 FROM sqlite_master"
+            " WHERE type = 'table' AND name = 'experiments'"
+        ).fetchone() is not None
+    except sqlite3.DatabaseError:
+        return False
+    finally:
+        db.close()

@@ -42,8 +42,6 @@ from repro.runner.planner import (
     PlannedPoint,
     PlannedSweep,
     PlannerPolicy,
-    active_policy,
-    fast_mode,
     run_planned_sweep,
 )
 from repro.runner.runner import (
@@ -72,14 +70,12 @@ __all__ = [
     "PlatformSpec",
     "ResultCache",
     "RunnerStats",
-    "active_policy",
     "cell_key",
     "check_jobs",
     "code_version",
     "default_cache_dir",
     "execute_cell",
     "execute_cell_group",
-    "fast_mode",
     "get_default_runner",
     "goodput_rate",
     "measured_seconds",

@@ -22,11 +22,11 @@ caching, warm-start forking, and parallel fan-out keep working):
   simulation ends as soon as its windowed goodput rate stabilizes and
   measurements are compared as *rates* over the truncated span.
 
-Everything here is strictly opt-in: the fast path activates only
-through an explicit :class:`PlannerPolicy`, the ``--fast`` CLI flag, or
-``REPRO_FAST=1`` (:func:`active_policy`).  Planner cells serialize
-their early-exit config into the cache key, so fast and exact results
-never mix, and with the planner disabled no code path here runs at all.
+Everything here is opt-in: no figure driver or CLI command calls the
+planner; callers invoke :func:`run_planned_sweep` by name with a
+:class:`PlannerPolicy` such as :data:`FAST_POLICY`.  Planner cells
+serialize their early-exit config into the cache key, so planned and
+exact results never mix.
 """
 
 from __future__ import annotations
@@ -44,13 +44,11 @@ from repro.core.throughput import c_psi
 from repro.runner.cells import Cell, goodput_rate
 from repro.runner.runner import ExperimentRunner, get_default_runner
 from repro.sim.convergence import ConvergenceConfig
-from repro.util.env import env_flag
 from repro.util.errors import ValidationError
 from repro.util.validate import check_positive
 
 __all__ = ["PlannerPolicy", "PlannedPoint", "PlannedSweep",
-           "run_planned_sweep", "fast_mode", "active_policy",
-           "FAST_POLICY"]
+           "run_planned_sweep", "FAST_POLICY"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,28 +158,8 @@ class PlannerPolicy:
         check_positive("fluid_max_step", self.fluid_max_step)
 
 
-#: The policy ``--fast`` / ``REPRO_FAST=1`` selects.
+#: The default adaptive policy: fluid pre-pass, refinement, early exit.
 FAST_POLICY = PlannerPolicy(fluid_prepass=True)
-
-
-def fast_mode() -> bool:
-    """True when ``REPRO_FAST=1``: figure drivers use the planner."""
-    return env_flag("REPRO_FAST")
-
-
-def active_policy() -> Optional[PlannerPolicy]:
-    """The environment-selected policy: :data:`FAST_POLICY` or ``None``.
-
-    Figure drivers call this when no explicit policy is passed, so the
-    planner stays invisible unless the user opted in.
-    ``REPRO_NO_FLUID=1`` keeps the planner but drops its fluid
-    pre-pass (``--no-fluid`` on the CLI).
-    """
-    if not fast_mode():
-        return None
-    if env_flag("REPRO_NO_FLUID"):
-        return dataclasses.replace(FAST_POLICY, fluid_prepass=False)
-    return FAST_POLICY
 
 
 @dataclasses.dataclass(frozen=True)

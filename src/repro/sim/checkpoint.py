@@ -19,14 +19,11 @@ whole graph in one traversal; its memo dictionary preserves internal
 aliasing, so a calendar entry whose callback is a bound method of a
 link lands on the *copied* link, and an
 :class:`~repro.sim.engine.Event` handle held by a TCP agent aliases the
-entry inside the copied calendar.  Two details need explicit care:
-
-* the packet uid counter is a class-level global on
-  :class:`~repro.sim.packet.Packet` (so uids are unique across helper
-  objects); it is captured at snapshot time and re-seeded before each
-  fork so every fork draws the identical uid stream;
-* ``itertools.count`` cannot be read in place; the captured value comes
-  from advancing a shallow copy.
+entry inside the copied calendar.  One detail needs explicit care:
+the packet uid counter is a module global of :mod:`repro.sim.packet`
+(so uids are unique across helper objects); it is captured at snapshot
+time and re-seeded before each fork so every fork draws the identical
+uid stream.
 
 Forks are bit-identical to simply continuing the original network --
 the engine's :meth:`~repro.sim.engine.Simulator.state_digest` and the

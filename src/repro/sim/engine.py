@@ -30,8 +30,6 @@ drain lazily when their timestamp comes up.
 
 from __future__ import annotations
 
-import copy as _copy
-import itertools
 from heapq import heappop, heappush
 from math import inf
 from time import perf_counter
@@ -123,7 +121,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._counter = itertools.count()
+        #: the seq the next calendar entry receives (ties break FIFO).
+        self._seq = 0
         #: the calendar, a binary heap; the dispatch loop reaches in
         #: directly.
         self._heap: List[Any] = []
@@ -173,8 +172,7 @@ class Simulator:
         assert a forked engine resumes exactly where the original left
         off.
         """
-        # itertools.count cannot be inspected in place; advance a copy.
-        return next(_copy.copy(self._counter))
+        return self._seq
 
     def state_digest(self) -> tuple:
         """A comparable fingerprint of the full scheduling state.
@@ -217,7 +215,9 @@ class Simulator:
 
     def _push_handle(self, time: float, fn, args) -> Event:
         """Push a cancellable entry (no time check); returns its handle."""
-        event = Event((time, next(self._counter), fn, args, self))
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event((time, seq, fn, args, self))
         heappush(self._heap, event)
         return event
 
@@ -227,7 +227,9 @@ class Simulator:
         The hot path for callers whose time can never precede the clock
         (``Link.send`` deliveries, attack emission chains).
         """
-        heappush(self._heap, [time, next(self._counter), fn, args])
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, [time, seq, fn, args])
 
     # ------------------------------------------------------------------
     # execution

@@ -8,9 +8,7 @@ UDP-like constant-size datagrams with no transport state.
 
 from __future__ import annotations
 
-import copy
 import enum
-import itertools
 from typing import Optional, Tuple
 
 __all__ = ["PacketKind", "Packet", "TCP_HEADER_BYTES", "ACK_SIZE_BYTES",
@@ -26,6 +24,11 @@ TCP_HEADER_BYTES = 40
 
 #: Size of a pure ACK (TCP/IP headers, no payload), bytes.
 ACK_SIZE_BYTES = 40
+
+#: The uid the next packet receives.  A module global, not a class
+#: attribute: rebinding a class attribute per packet would invalidate
+#: the type's attribute cache on every construction.
+_next_uid = 0
 
 
 class PacketKind(enum.Enum):
@@ -60,8 +63,6 @@ class Packet:
         "seq", "ack", "sent_at", "retransmit", "hops", "sack",
     )
 
-    _uid_counter = itertools.count()
-
     @classmethod
     def reset_uids(cls) -> None:
         """Restart uid numbering from 0.
@@ -71,7 +72,7 @@ class Packet:
         counter, a rerun of the same scenario would otherwise produce a
         different (run-order-dependent) uid stream in its traces.
         """
-        cls._uid_counter = itertools.count()
+        cls.set_next_uid(0)
 
     @classmethod
     def peek_uid(cls) -> int:
@@ -81,13 +82,13 @@ class Packet:
         snapshot so every fork resumes the exact uid stream a
         from-scratch run would produce.
         """
-        # itertools.count cannot be inspected in place; advance a copy.
-        return next(copy.copy(cls._uid_counter))
+        return _next_uid
 
     @classmethod
     def set_next_uid(cls, value: int) -> None:
         """Make *value* the next uid handed out (checkpoint restore)."""
-        cls._uid_counter = itertools.count(value)
+        global _next_uid
+        _next_uid = value
 
     def __init__(
         self,
@@ -101,7 +102,9 @@ class Packet:
         sent_at: float = 0.0,
         retransmit: bool = False,
     ) -> None:
-        self.uid = next(Packet._uid_counter)
+        global _next_uid
+        self.uid = _next_uid
+        _next_uid += 1
         self.kind = kind
         self.flow_id = flow_id
         self.src = src

@@ -73,6 +73,26 @@ class TestFig0609Config:
         assert len(curves[0].points) == 2
         assert "Fig. 6" in fig.render()
 
+    def test_environment_cannot_divert_the_dense_grid(self, monkeypatch):
+        from repro.runner import ExperimentRunner, set_default_runner
+
+        def planned_keys():
+            dry = ExperimentRunner(dry_run=True)
+            previous = set_default_runner(dry)
+            try:
+                run_gain_figure(6)
+            finally:
+                set_default_runner(previous)
+            return [entry.key for entry in dry.dry_run_plan.entries]
+
+        monkeypatch.delenv("REPRO_FAST", raising=False)
+        monkeypatch.delenv("REPRO_NO_FLUID", raising=False)
+        dense = planned_keys()
+        monkeypatch.setenv("REPRO_FAST", "1")
+        monkeypatch.setenv("REPRO_NO_FLUID", "1")
+        assert planned_keys() == dense
+        assert dense
+
 
 class TestFig10Config:
     def test_cases_match_paper(self):

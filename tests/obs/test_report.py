@@ -159,6 +159,30 @@ class TestRenderReport:
         assert "aa" in text
         assert "\nzz" not in text
 
+    @pytest.mark.parametrize("sort", SORT_CHOICES)
+    def test_rows_follow_timestamps_across_stores(self, tmp_path, sort):
+        from repro.obs.store import ExperimentStore
+
+        paths = []
+        for store_name, names, stamps in (
+                ("a.sqlite", ["fig06", "fig08"], [1.0, 3.0]),
+                ("b.sqlite", ["fig07", "fig09"], [2.0, 4.0])):
+            with ExperimentStore(tmp_path / store_name) as store:
+                store.begin_run("all", timestamp=0.0)
+                for name, stamp in zip(names, stamps):
+                    store.begin_experiment(name, timestamp=stamp)
+                    store.finish_experiment(elapsed_seconds=stamp)
+            paths.append(tmp_path / store_name)
+        def rows(text):  # the table follows the one-line header
+            return TestSortAndLast.row_names(text.split("\n", 1)[1])
+
+        forward = render_report(paths, sort=sort, last=3)
+        backward = render_report(paths[::-1], sort=sort, last=3)
+        assert rows(forward) == rows(backward)
+        assert sorted(rows(forward)) == ["fig07", "fig08", "fig09"]
+        if sort == "time":
+            assert rows(forward) == ["fig07", "fig08", "fig09"]
+
     def test_leftover_run_log_named_not_parsed(self, tmp_path):
         log = tmp_path / "runs.jsonl"
         log.write_text('{"record": "experiment", "name": "fig06"}\n')

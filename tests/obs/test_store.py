@@ -93,6 +93,20 @@ class TestSchema:
             open_readonly(path)
         assert path.read_bytes() == content
 
+    def test_open_readonly_refuses_foreign_sqlite_without_writing(
+            self, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "other.db"
+        with sqlite3.connect(path) as db:
+            db.execute("CREATE TABLE notes (body TEXT)")
+        db.close()
+        before = path.read_bytes()
+        assert not is_store(path)
+        with pytest.raises(ValueError, match="not an experiment store"):
+            open_readonly(path)
+        assert path.read_bytes() == before
+
 
 class TestRecordCell:
     def test_series_round_trip_bit_exact(self, tmp_path, executed_cell):

@@ -19,8 +19,6 @@ from repro.runner import Cell, CellResult, ExperimentRunner, PlatformSpec
 from repro.runner.planner import (
     FAST_POLICY,
     PlannerPolicy,
-    active_policy,
-    fast_mode,
     run_planned_sweep,
 )
 from repro.runner.runner import RunnerStats
@@ -102,16 +100,6 @@ class TestPolicy:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             PlannerPolicy(**kwargs)
-
-    def test_fast_mode_follows_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST", raising=False)
-        assert not fast_mode()
-        assert active_policy() is None
-        monkeypatch.setenv("REPRO_FAST", "1")
-        assert fast_mode()
-        assert active_policy() is FAST_POLICY
-        monkeypatch.setenv("REPRO_FAST", "0")
-        assert not fast_mode()
 
 
 class TestRefinement:
@@ -224,16 +212,6 @@ class TestFluidPrepass:
     def test_bad_prepass_values_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             PlannerPolicy(**kwargs)
-
-    def test_no_fluid_env_disables_only_the_prepass(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST", "1")
-        monkeypatch.setenv("REPRO_NO_FLUID", "1")
-        active = active_policy()
-        assert active is not FAST_POLICY
-        assert not active.fluid_prepass
-        assert dataclasses.replace(active, fluid_prepass=True) == FAST_POLICY
-        monkeypatch.setenv("REPRO_NO_FLUID", "0")
-        assert active_policy() is FAST_POLICY
 
 
 class TestSeedAllocation:

@@ -168,6 +168,28 @@ class TestNonStoreInput:
                 in capsys.readouterr().err)
         assert path.read_bytes() == content
 
+    @pytest.mark.parametrize("command", [
+        ["obs", "report", "{path}"],
+        ["obs", "query", "SELECT 1", "--store", "{path}"],
+        ["obs", "trace", "1", "--store", "{path}"],
+    ], ids=["report", "query", "trace"])
+    def test_foreign_sqlite_gets_no_schema(self, capsys, tmp_path,
+                                           command):
+        import sqlite3
+
+        path = tmp_path / "other.db"
+        with sqlite3.connect(path) as db:
+            db.execute("CREATE TABLE notes (body TEXT)")
+        db.close()
+        argv = [arg.format(path=path) for arg in command]
+        assert main(argv) == 1
+        assert (f"not an experiment store: {path}"
+                in capsys.readouterr().err)
+        db = sqlite3.connect(path)
+        tables = db.execute("SELECT name FROM sqlite_master").fetchall()
+        db.close()
+        assert tables == [("notes",)]
+
 
 class TestStoreFlag:
     def test_bare_store_flag_uses_default_path(self):
@@ -436,18 +458,13 @@ class TestObsTrace:
 
 
 class TestFastAndJobsFlags:
-    def test_fast_flag_parses_off_by_default(self):
-        assert not build_parser().parse_args(["fig04"]).fast
-        assert build_parser().parse_args(["fig04", "--fast"]).fast
-
-    def test_fast_sets_env(self, monkeypatch, capsys):
-        import os
-
-        monkeypatch.delenv("REPRO_FAST", raising=False)
-        # fig01 is a cwnd trace -- unaffected by the planner, so this
-        # stays cheap while still exercising the env hand-off.
-        assert main(["fig01", "--fast", "--no-cache"]) == 0
-        assert os.environ.get("REPRO_FAST") == "1"
+    @pytest.mark.parametrize("flag", ["--fast", "--no-fluid"])
+    def test_removed_planner_flags_are_usage_errors(self, flag, capsys):
+        # Figures always run the dense grid; there is no fast mode.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fig06", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_non_positive_jobs_rejected_by_name(self):
         from repro.util.errors import ValidationError
